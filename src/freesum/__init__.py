@@ -47,7 +47,6 @@ from .freesums import (
 from .linalg import (
     IntMatrix,
     LatticeBasis,
-    affine_lattice_points_in_box,
     complementary_in,
     hnf,
     in_convex_hull,

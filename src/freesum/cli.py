@@ -18,6 +18,7 @@ from .errors import ClassificationError, FreesumError, InternalCheckError
 from .freesums import (
     check_braun_multivariate,
     classify_sum,
+    converse_search,
     decompose_sigma,
     gorenstein_affine_check,
     verify_cone_decomposition,
@@ -233,16 +234,14 @@ def _run_check(args):
         )
         return report, 0 if split.ok else 1
     if args.mode == "converse":
-        conv = check_braun_multivariate(witness, height)
+        conv = converse_search(a, b, height)
         report.update(
             {
-                "braun_holds_up_to_bound": conv.holds_up_to_bound,
-                "dual_a_lattice": is_lattice_polyhedron(polar_dual(a)),
-                "dual_b_lattice": is_lattice_polyhedron(polar_dual(b)),
+                "braun_holds_up_to_bound": conv.braun_holds_up_to_bound,
+                "dual_a_lattice": conv.dual_p_lattice,
+                "dual_b_lattice": conv.dual_q_lattice,
             }
         )
-        if (report["dual_a_lattice"] or report["dual_b_lattice"]) and not conv.holds_up_to_bound:
-            raise InternalCheckError("lattice dual without product formula")
         return report, 0
     if args.mode == "affine":
         verdict = gorenstein_affine_check(a, b, height)
@@ -264,9 +263,8 @@ def _run_corpus(args):
         raise FreesumError(f"cannot read {args.config}: {exc}", "input-error") from exc
     except json.JSONDecodeError as exc:
         raise FreesumError(f"malformed JSON in {args.config}: {exc}", "input-error") from exc
-    if args.height is not None:
-        config = dict(config)
-        config["height"] = args.height
+    if args.height is not None and isinstance(config, dict):
+        config = {**config, "height": args.height}
     return corpus_run(config)
 
 

@@ -23,7 +23,10 @@ from .linalg import (
     qvec,
 )
 from .polytopes import (
+    ConeHRep,
     RationalPolytope,
+    _cone_member,
+    _cone_member_strict,
     cone_hrep,
     denominator,
     dual_denominator,
@@ -41,15 +44,13 @@ def embed_at_height_one(point) -> QVector:
 class ConeOverPolytope:
     """Cone over a rational polytope with generator and halfspace views.
 
-    ``halfspaces`` are integer rows h with the cone equal to
-    ``{x in span : h . x <= 0}``; ``span_complement`` rows vanish exactly on
-    the linear span of the cone.
+    ``hrep`` is the integer description of the base polytope's cone: its
+    ``facet_rows`` h cut the cone out of its span as ``h . x <= 0``.
     """
 
     base: RationalPolytope
     generators: tuple[QVector, ...]
-    halfspaces: tuple[Vector, ...]
-    span_complement: tuple[Vector, ...]
+    hrep: ConeHRep
     lattice_span: LatticeBasis
 
     @property
@@ -60,18 +61,11 @@ class ConeOverPolytope:
         point = qvec(point)
         if len(point) != self.ambient_dim:
             raise InputError("point dimension mismatch")
-        w = clear_denominators(point)
-        if any(sum(a * b for a, b in zip(row, w)) != 0 for row in self.span_complement):
-            return False
-        return all(sum(a * b for a, b in zip(row, w)) <= 0 for row in self.halfspaces)
+        return _cone_member(self.hrep, point)
 
     def contains_interior(self, point) -> bool:
         """Relative interior membership."""
-        point = qvec(point)
-        w = clear_denominators(point)
-        if any(sum(a * b for a, b in zip(row, w)) != 0 for row in self.span_complement):
-            return False
-        return all(sum(a * b for a, b in zip(row, w)) < 0 for row in self.halfspaces)
+        return _cone_member_strict(self.hrep, point)
 
     def lattice_points_at_height(self, height) -> list[Vector]:
         """Integer points of the cone slice at a rational height >= 0."""
@@ -84,10 +78,9 @@ class ConeOverPolytope:
 @functools.cache
 def cone_over(p: RationalPolytope) -> ConeOverPolytope:
     """Build both representations of the cone over P."""
-    hrep = cone_hrep(p)
     gens = tuple(embed_at_height_one(v) for v in p.vertices)
     span = lattice_basis_of_span(gens, p.dim + 1)
-    return ConeOverPolytope(p, gens, hrep.facet_rows, hrep.span_rows, span)
+    return ConeOverPolytope(p, gens, cone_hrep(p), span)
 
 
 @dataclass(frozen=True)
@@ -133,7 +126,7 @@ def _projection_data(cone: ConeOverPolytope, p) -> tuple[QVector, list[tuple[Vec
         raise PreconditionError("direction point must lie in the cone", "direction-not-in-cone")
     ap_int = clear_denominators(ap)
     rows = []
-    for h in cone.halfspaces:
+    for h in cone.hrep.facet_rows:
         d = sum(a * b for a, b in zip(h, ap_int))
         if d < 0:
             rows.append((h, d))
@@ -241,14 +234,6 @@ class LambdaP:
         if any(x.denominator != 1 for x in w):
             return False
         return self.scaled_basis.contains(tuple(int(x) for x in w))
-
-    def contains_by_cosets(self, v) -> bool:
-        """Alternative membership via the union of shifted copies of Z^n."""
-        v = qvec(v)
-        for k in range(self.r):
-            if all((x + k * pi).denominator == 1 for x, pi in zip(v, self.point)):
-                return True
-        return False
 
 
 def lambda_p(p) -> LambdaP:

@@ -258,17 +258,29 @@ def _run_pair(pair: CorpusPair, height: int) -> dict:
     return report
 
 
+def _checked_height(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise InputError("corpus height must be a nonnegative integer")
+    return value
+
+
 def corpus_run(config: dict) -> tuple[dict, int]:
     """Run every configured pair; returns (report, exit_code).
 
     Classification rejections are recorded, not fatal.  The exit code is 1
     only when a cross-pair consistency assertion fails.
     """
-    if not isinstance(config, dict) or "pairs" not in config:
+    if not isinstance(config, dict) or not isinstance(config.get("pairs"), list):
         raise InputError('corpus config needs a "pairs" array')
-    height = config.get("height", 10)
-    if not isinstance(height, int) or height < 0:
-        raise InputError("corpus height must be a nonnegative integer")
+    height = _checked_height(config.get("height", 10))
+    for entry in config["pairs"]:
+        if not isinstance(entry, dict) or "a" not in entry or "b" not in entry:
+            raise InputError('each corpus pair needs "a" and "b" polytopes')
+        if not isinstance(entry.get("name", ""), str):
+            raise InputError("a corpus pair name must be a string")
+        if not isinstance(entry.get("modes", []), list):
+            raise InputError('corpus pair "modes" must be an array')
+        _checked_height(entry.get("height", height))
     pair_reports = []
     consistency_failures = []
     for entry in sorted(config["pairs"], key=lambda e: e.get("name", "")):

@@ -374,7 +374,7 @@ def _fiber_entry(cone: ConeOverPolytope, start: QVector, direction: QVector) -> 
     """Least mu with start + mu*direction in the cone, or None if the fiber
     misses the cone; the direction must lie in the cone."""
     entry: Fraction | None = None
-    for h in cone.halfspaces:
+    for h in cone.hrep.facet_rows:
         hd = sum(a * b for a, b in zip(h, direction))
         hs = sum(a * b for a, b in zip(h, start))
         if hd == 0:

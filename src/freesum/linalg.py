@@ -67,10 +67,6 @@ class IntMatrix:
     def identity(cls, n: int) -> IntMatrix:
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> IntMatrix:
-        return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
     def __mul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise InputError("matrix product shape mismatch")
@@ -88,9 +84,6 @@ class IntMatrix:
             raise InputError("determinant of a non-square matrix")
         d = rational_det([qvec(r) for r in self.entries])
         return int(d)
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
 
 
 def _row_sub(a: list[list[int]], i: int, j: int, q: int) -> None:
@@ -447,61 +440,13 @@ def complementary_in(target: LatticeBasis, a: LatticeBasis, b: LatticeBasis) -> 
     return generated.vectors == saturated.vectors
 
 
-def affine_lattice_points_in_box(basis: LatticeBasis, offset, box) -> list[QVector]:
-    """All points of ``offset + lattice(basis)`` inside a closed box.
-
-    ``box`` is a sequence of (lo, hi) rational pairs, one per coordinate.
-    Points come back in lexicographic order.
-    """
-    offset = qvec(offset)
-    bounds = [(Fraction(lo), Fraction(hi)) for lo, hi in box]
-    n = basis.ambient_dim
-    if len(offset) != n or len(bounds) != n:
-        raise InputError("offset/box dimension mismatch")
-    if any(lo > hi for lo, hi in bounds):
-        return []
-
-    def in_box(pt: QVector) -> bool:
-        return all(lo <= x <= hi for x, (lo, hi) in zip(pt, bounds))
-
-    r = basis.rank
-    if r == 0:
-        return [offset] if in_box(offset) else []
-
-    # Coefficient recovery map f(x) = G^{-1} B (x - offset) is affine in x, so
-    # its componentwise extremes over the box occur at box corners.
-    bmat = [qvec(v) for v in basis.vectors]
-    gram = [[sum(x * y for x, y in zip(u, v)) for v in bmat] for u in bmat]
-    ginv = invert_rational(gram)
-    coeff_map = [
-        tuple(sum(ginv[i][k] * bmat[k][j] for k in range(r)) for j in range(n))
-        for i in range(r)
-    ]
-    corners = itertools.product(*bounds)
-    lo_c = [None] * r
-    hi_c = [None] * r
-    for corner in corners:
-        delta = [x - o for x, o in zip(corner, offset)]
-        for i in range(r):
-            val = sum(m * d for m, d in zip(coeff_map[i], delta))
-            lo_c[i] = val if lo_c[i] is None or val < lo_c[i] else lo_c[i]
-            hi_c[i] = val if hi_c[i] is None or val > hi_c[i] else hi_c[i]
-    ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in zip(lo_c, hi_c)]
-    points = []
-    for coeffs in itertools.product(*ranges):
-        pt = tuple(
-            o + sum(c * v[j] for c, v in zip(coeffs, basis.vectors))
-            for j, o in enumerate(offset)
-        )
-        if in_box(pt):
-            points.append(pt)
-    points.sort()
-    return points
-
-
 # ---------------------------------------------------------------------------
 # Conic and convex membership
 # ---------------------------------------------------------------------------
+#
+# A reference oracle, independent of the facet scan in ``polytopes``: the
+# tests check the production path against it, and no module of the package
+# calls it.
 
 
 def in_pos_hull(point, generators) -> bool:
@@ -536,12 +481,4 @@ def in_convex_hull(point, points) -> bool:
     """Exact membership of ``point`` in the convex hull of ``points``."""
     point = qvec(point)
     lifted = [qvec(p) + (Fraction(1),) for p in points]
-    return in_pos_hull(point + (Fraction(1),), lifted)
-
-
-def in_convex_plus_cone(point, hull_points, ray_generators) -> bool:
-    """Membership in conv(hull_points) + pos(ray_generators)."""
-    point = qvec(point)
-    lifted = [qvec(p) + (Fraction(1),) for p in hull_points]
-    lifted += [qvec(r) + (Fraction(0),) for r in ray_generators]
     return in_pos_hull(point + (Fraction(1),), lifted)

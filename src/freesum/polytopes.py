@@ -1,8 +1,10 @@
 """Rational polytopes: exact facet descriptions, polar duals, lattice points.
 
-A polytope is stored by its irredundant vertex list in Q^n.  All facet and
-membership computations go through a homogenized cone description with
-integer data, so the hot enumeration loops run on plain ints.
+A polytope is stored by its irredundant vertex list in Q^n.  Each point set
+gets one facet scan (``_affine_data``), and every geometric view reads from
+it: the vertex test, the integer cone description used for membership and
+enumeration, the facet functionals relative to the linear span, and the
+polar dual.  The hot enumeration loops run on plain ints.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from .linalg import (
     QVector,
     Vector,
     clear_denominators,
-    in_convex_hull,
-    in_convex_plus_cone,
-    in_pos_hull,
     invert_rational,
     lattice_basis_of_span,
     primitive_vector,
@@ -44,28 +43,26 @@ class RationalPolytope:
         for v in self.vertices:
             if len(v) != self.dim:
                 raise InputError("vertex dimension mismatch")
-        for i, v in enumerate(self.vertices):
-            others = [w for j, w in enumerate(self.vertices) if j != i]
-            if others and in_convex_hull(v, others):
+        if len(set(self.vertices)) != len(self.vertices):
+            raise InputError("vertex list has duplicates")
+        for v, is_vertex in zip(self.vertices, _affine_data(self.vertices)[2]):
+            if not is_vertex:
                 raise InputError(f"vertex list is redundant at {v}")
 
     @classmethod
     def from_points(cls, dim: int, points) -> RationalPolytope:
         """Polytope spanned by arbitrary rational points; redundancy is pruned."""
-        pts = sorted({qvec(p) for p in points})
+        pts = tuple(sorted({qvec(p) for p in points}))
         if not pts:
             raise InputError("a polytope needs at least one point")
-        verts = [
-            p
-            for i, p in enumerate(pts)
-            if not in_convex_hull(p, [q for j, q in enumerate(pts) if j != i])
-        ]
-        return cls(dim, tuple(verts))
+        if any(len(p) != dim for p in pts):
+            raise InputError("vertex dimension mismatch")
+        is_vertex = _affine_data(pts)[2]
+        return cls(dim, tuple(p for p, keep in zip(pts, is_vertex) if keep))
 
     @property
     def affine_dim(self) -> int:
-        v0 = self.vertices[0]
-        return rational_rank([tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]])
+        return len(direction_basis(self))
 
     def translate(self, shift) -> RationalPolytope:
         shift = qvec(shift)
@@ -163,27 +160,27 @@ def _facets_full_dim(points: list[QVector], d: int) -> list[tuple[Vector, int]]:
 
 
 @functools.cache
-def _affine_data(p: RationalPolytope):
-    """Affine-hull coordinates shared by the facet computations.
+def _affine_data(points: tuple[QVector, ...]):
+    """The facet scan of conv(points), run once per point set.
 
-    Returns (v0, direction_basis_rows, vertex_coords, ambient_facets) where
-    ambient facets are rational pairs (c, c0) with P = {x in aff P : c.x <= c0}.
+    Returns (v0, direction_basis_rows, is_vertex, ambient_facets).  A point
+    is a vertex iff the normals of the facets tight at it have rank equal to
+    the affine dimension d (for d = 0 every point passes).  Ambient facets
+    are rational pairs (c, c0) with conv(points) = {x in aff : c.x <= c0}.
     """
-    v0 = p.vertices[0]
-    dirs = [tuple(a - b for a, b in zip(v, v0)) for v in p.vertices[1:]]
-    dirs = [dv for dv in dirs if any(dv)]
-    if not dirs:
-        return v0, (), ((),) * len(p.vertices), ()
+    v0 = points[0]
     # Row-reduce the directions to a rational basis of the direction space.
     basis: list[QVector] = []
-    for dv in dirs:
+    for v in points[1:]:
+        dv = tuple(a - b for a, b in zip(v, v0))
         if rational_rank(basis + [dv]) > len(basis):
             basis.append(qvec(dv))
     d = len(basis)
+    n = len(v0)
     gram = [[sum(x * y for x, y in zip(u, w)) for w in basis] for u in basis]
     ginv = invert_rational(gram)
     coord_map = [
-        tuple(sum(ginv[i][k] * basis[k][j] for k in range(d)) for j in range(p.dim))
+        tuple(sum(ginv[i][k] * basis[k][j] for k in range(d)) for j in range(n))
         for i in range(d)
     ]
 
@@ -191,18 +188,23 @@ def _affine_data(p: RationalPolytope):
         delta = tuple(a - b for a, b in zip(point, v0))
         return tuple(sum(m * x for m, x in zip(row, delta)) for row in coord_map)
 
-    vertex_coords = tuple(coords(v) for v in p.vertices)
+    point_coords = [coords(v) for v in points]
+    facets = _facets_full_dim(point_coords, d)
+    is_vertex = tuple(
+        rational_rank([c for c, c0 in facets if sum(a * b for a, b in zip(c, x)) == c0]) == d
+        for x in point_coords
+    )
     ambient = []
-    for c, c0 in _facets_full_dim(list(vertex_coords), d):
-        c_amb = tuple(sum(Fraction(c[i]) * coord_map[i][j] for i in range(d)) for j in range(p.dim))
+    for c, c0 in facets:
+        c_amb = tuple(sum(Fraction(c[i]) * coord_map[i][j] for i in range(d)) for j in range(n))
         offset = Fraction(c0) + sum(a * b for a, b in zip(c_amb, v0))
         ambient.append((c_amb, offset))
-    return v0, tuple(basis), vertex_coords, tuple(ambient)
+    return v0, tuple(basis), is_vertex, tuple(ambient)
 
 
 def direction_basis(p: RationalPolytope) -> tuple[QVector, ...]:
     """Rational basis of the direction space of the affine hull of P."""
-    return _affine_data(p)[1]
+    return _affine_data(p.vertices)[1]
 
 
 @functools.cache
@@ -211,7 +213,7 @@ def cone_hrep(p: RationalPolytope) -> ConeHRep:
     n = p.dim
     gens = [v + (Fraction(1),) for v in p.vertices]
     span_rows = tuple(primitive_vector(z) for z in rational_nullspace(gens, n + 1))
-    _, _, _, ambient = _affine_data(p)
+    _, _, _, ambient = _affine_data(p.vertices)
     if not ambient:
         # A single point: one halfspace cutting the ray out of its line.
         facet_rows: tuple[Vector, ...] = (tuple(-x for x in primitive_vector(gens[0])),)
@@ -291,20 +293,27 @@ def interior_lattice_points_in_dilate(p: RationalPolytope, k: int) -> list[Vecto
 
 @functools.cache
 def halfspace_rep(p: RationalPolytope) -> HalfspaceRep:
-    """Facet functionals of P relative to lin(P); requires the origin in P."""
+    """Facet functionals of P relative to lin(P); requires the origin in P.
+
+    Read off the facet rows of ``cone_hrep``: with the origin in P, lin(P) is
+    the affine hull, so each row (c, -c0) restricted to the span basis gives
+    c.b <= c0, normalized to right-hand side 1 when c0 > 0.
+    """
     origin = (Fraction(0),) * p.dim
     if not p.contains(origin):
         raise PreconditionError("the origin must lie in the polytope", "origin-not-in-polytope")
     span_basis = lattice_basis_of_span(p.vertices, p.dim)
-    d = span_basis.rank
-    coords = [span_basis.coordinates(v) for v in p.vertices]
+    if span_basis.rank == 0:
+        return HalfspaceRep(span_basis, (), ())
     one: list[QVector] = []
     zero: list[Vector] = []
-    for c, c0 in _facets_full_dim(coords, d):
+    for row in cone_hrep(p).facet_rows:
+        c, c0 = row[:-1], -row[-1]
+        cb = [sum(a * b for a, b in zip(c, vec)) for vec in span_basis.vectors]
         if c0 > 0:
-            one.append(tuple(Fraction(ci, c0) for ci in c))
+            one.append(tuple(Fraction(x, c0) for x in cb))
         else:
-            zero.append(primitive_vector(c))
+            zero.append(primitive_vector(cb))
     return HalfspaceRep(span_basis, tuple(sorted(one)), tuple(sorted(zero)))
 
 
@@ -315,18 +324,13 @@ def polar_dual(p: RationalPolytope) -> DualPolyhedron:
     if rep.span_basis.rank == 0:
         # The dual of the origin polytope is the single zero functional.
         return DualPolyhedron(((),), ())
-    rays = sorted(set(rep.zero_facets))
-    extreme = [
-        r for i, r in enumerate(rays) if not in_pos_hull(r, [s for j, s in enumerate(rays) if j != i])
-    ]
-    verts = [
-        phi
-        for i, phi in enumerate(rep.one_facets)
-        if not in_convex_plus_cone(
-            phi, [other for j, other in enumerate(rep.one_facets) if j != i], extreme
-        )
-    ]
-    return DualPolyhedron(tuple(sorted(verts)), tuple(extreme))
+    # P* = conv(one_facets) + pos(zero_facets), and no generator is redundant:
+    # if phi lay in conv(other phis) + pos(psis), then phi(a) <= 1 would follow
+    # from the other inequalities, and likewise psi(a) <= 0 for a ray psi in
+    # the cone of the others.  The facets of P are irredundant, so every
+    # facet with c0 > 0 is a vertex of P* and every facet with c0 = 0 is an
+    # extreme ray of its recession cone (Ziegler, Lectures on Polytopes, 2.3).
+    return DualPolyhedron(rep.one_facets, rep.zero_facets)
 
 
 def is_lattice_polyhedron(dual: DualPolyhedron) -> bool:

@@ -213,3 +213,36 @@ def test_bundled_corpus_file_in_sync():
     with open(os.path.join(os.path.dirname(__file__), "..", "corpus", "standard.json")) as fh:
         on_disk = json.load(fh)
     assert on_disk == standard_config(height=10)
+
+
+SEGMENT = {"dim": 1, "vertices": [["-1"], ["1"]]}
+
+
+@pytest.mark.parametrize(
+    "config, extra",
+    [
+        ({"pairs": [{"b": SEGMENT, "name": "no-a"}]}, []),
+        ({"pairs": [7]}, []),
+        ([1, 2], ["--height", "3"]),
+        ({"pairs": [{"a": SEGMENT, "b": SEGMENT, "height": "3", "name": "h"}]}, []),
+        ({"height": True, "pairs": []}, []),
+        ({"pairs": [{"a": SEGMENT, "b": SEGMENT, "name": 3}, {"a": SEGMENT, "b": SEGMENT}]}, []),
+        ({"pairs": [{"a": SEGMENT, "b": SEGMENT, "modes": "braun"}]}, []),
+    ],
+    ids=[
+        "pair-without-a",
+        "pair-not-object",
+        "config-not-object",
+        "pair-height-string",
+        "height-bool",
+        "name-not-string",
+        "modes-not-array",
+    ],
+)
+def test_cli_corpus_malformed_config(tmp_path, config, extra):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(config))
+    status, out, err = run_cli(["corpus", "--config", str(path), *extra])
+    assert status == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "input-error"

@@ -1,4 +1,4 @@
-"""Normal forms, saturation, complementarity, box enumeration."""
+"""Normal forms, saturation, complementarity, conic membership."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from freesum.errors import InputError
 from freesum.linalg import (
     IntMatrix,
     LatticeBasis,
-    affine_lattice_points_in_box,
     complementary_in,
     hnf,
     in_convex_hull,
@@ -40,7 +39,7 @@ def test_hnf_example_reconstruction():
 
 
 def test_hnf_zero_matrix():
-    m = IntMatrix.zero(2, 3)
+    m = IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
     h, u = hnf(m)
     assert h.entries == m.entries
     assert u.entries == IntMatrix.identity(2).entries
@@ -190,35 +189,6 @@ def test_complementary_matches_bruteforce():
         b = LatticeBasis(2, (bvec,))
         assert complementary_in(target, a, b) == oracle_complementary(target, a, b)
         checked += 1
-
-
-def test_box_points_one_dim():
-    basis = LatticeBasis.standard(1)
-    pts = affine_lattice_points_in_box(basis, (F(0),), [(0, 3)])
-    assert pts == [(0,), (1,), (2,), (3,)]
-
-
-def test_box_points_sublattice():
-    basis = LatticeBasis(2, ((1, 2),))
-    pts = affine_lattice_points_in_box(basis, (F(0), F(0)), [(-2, 2), (-2, 2)])
-    assert pts == [(-1, -2), (0, 0), (1, 2)]
-
-
-def test_box_points_coset_offset():
-    basis = LatticeBasis(1, ())
-    pts = affine_lattice_points_in_box(basis, (F(1, 2),), [(0, 1)])
-    assert pts == [(F(1, 2),)]
-
-
-def test_box_points_rational_offset_lattice():
-    basis = LatticeBasis(2, ((1, 0), (0, 2)))
-    pts = affine_lattice_points_in_box(basis, (F(1, 2), F(0)), [(0, 2), (-1, 3)])
-    assert pts == [
-        (F(1, 2), 0),
-        (F(1, 2), 2),
-        (F(3, 2), 0),
-        (F(3, 2), 2),
-    ]
 
 
 def test_pos_hull_membership():
