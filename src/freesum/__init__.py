@@ -1,90 +1,61 @@
 """Exact lattice-point generating functions for free sums of rational polytopes."""
 
 from .cones import (
-    ConeOverPolytope,
-    LambdaP,
-    ShiftedCone,
-    ShiftSearchResult,
-    cone_over,
-    embed_at_height_one,
-    epsilon_project,
-    lambda_p,
-    llenv_points,
-    on_lower_envelope,
-    rind_contains,
-    shifted_envelope_lattice_points,
-    shifted_envelope_nonempty,
+    ConeOverPolytope, LambdaP, ShiftSearchResult, cone_over, embed_at_height_one, epsilon_project,
+    lambda_p, llenv_points, on_lower_envelope, rind_contains, shifted_cone_lattice_points,
+    shifted_envelope_lattice_points, shifted_envelope_nonempty,
 )
 from .errors import (
-    ClassificationError,
-    FreesumError,
-    InconclusiveError,
-    InputError,
-    InternalCheckError,
-    PreconditionError,
-    TruncationError,
+    ClassificationError, FreesumError, InconclusiveError, InputError, InternalCheckError,
+    PreconditionError, TruncationError,
 )
 from .freesums import (
-    AFFINE_FREE_SUM,
-    FREE_SUM,
-    BraunVerdict,
-    ConverseReport,
-    DecompositionReport,
-    EnvelopeCondition,
-    FreeSumWitness,
-    UnivariateBraunVerdict,
-    check_braun_multivariate,
-    check_braun_univariate,
-    classify_sum,
-    converse_search,
-    decompose_sigma,
-    decomposition_check,
-    envelope_condition_check,
-    gorenstein_affine_check,
-    hull_union,
-    verify_cone_decomposition,
+    AFFINE_FREE_SUM, FREE_SUM, BraunVerdict, ConverseReport, DecompositionReport,
+    EnvelopeCondition, FreeSumWitness, UnivariateBraunVerdict, check_braun_multivariate,
+    check_braun_univariate, classify_sum, converse_search, decompose_sigma, decomposition_check,
+    envelope_condition_check, gorenstein_affine_check, hull_union, verify_cone_decomposition,
 )
 from .linalg import (
-    IntMatrix,
-    LatticeBasis,
-    complementary_in,
-    hnf,
-    in_convex_hull,
-    in_pos_hull,
-    lattice_basis_of_span,
-    snf,
+    IntMatrix, LatticeBasis, complementary_in, hnf, in_convex_hull, in_pos_hull,
+    lattice_basis_of_span, snf,
 )
 from .polytopes import (
-    DualPolyhedron,
-    GorensteinData,
-    HalfspaceRep,
-    RationalPolytope,
-    denominator,
-    dual_denominator,
-    gorenstein_data,
-    halfspace_rep,
-    interior_lattice_points_in_dilate,
-    is_lattice_polyhedron,
-    is_reflexive,
-    lattice_points_in_dilate,
-    min_dilation,
-    polar_dual,
+    DualPolyhedron, GorensteinData, HalfspaceRep, RationalPolytope, denominator, dual_denominator,
+    gorenstein_data, halfspace_rep, interior_lattice_points_in_dilate, is_lattice_polyhedron,
+    is_reflexive, lattice_points_in_dilate, min_dilation, polar_dual,
 )
 from .series import (
-    DeltaPolynomial,
-    QuasiPolynomial,
-    TruncatedSeries,
-    UnivariateSeries,
-    apply_one_minus_monomial,
-    delta_polynomial,
-    ehrhart_series,
-    geometric_series,
-    quasipolynomial,
-    series_mul,
-    sigma_cone,
+    DeltaPolynomial, QuasiPolynomial, TruncatedSeries, UnivariateSeries, apply_one_minus_monomial,
+    delta_polynomial, ehrhart_series, geometric_series, quasipolynomial, series_mul, sigma_cone,
     specialize_to_univariate,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # cones
+    "ConeOverPolytope", "LambdaP", "ShiftSearchResult", "cone_over", "embed_at_height_one",
+    "epsilon_project", "lambda_p", "llenv_points", "on_lower_envelope", "rind_contains",
+    "shifted_cone_lattice_points", "shifted_envelope_lattice_points", "shifted_envelope_nonempty",
+    # errors
+    "ClassificationError", "FreesumError", "InconclusiveError", "InputError", "InternalCheckError",
+    "PreconditionError", "TruncationError",
+    # freesums
+    "AFFINE_FREE_SUM", "FREE_SUM", "BraunVerdict", "ConverseReport", "DecompositionReport",
+    "EnvelopeCondition", "FreeSumWitness", "UnivariateBraunVerdict", "check_braun_multivariate",
+    "check_braun_univariate", "classify_sum", "converse_search", "decompose_sigma",
+    "decomposition_check", "envelope_condition_check", "gorenstein_affine_check", "hull_union",
+    "verify_cone_decomposition",
+    # linalg
+    "IntMatrix", "LatticeBasis", "complementary_in", "hnf", "in_convex_hull", "in_pos_hull",
+    "lattice_basis_of_span", "snf",
+    # polytopes
+    "DualPolyhedron", "GorensteinData", "HalfspaceRep", "RationalPolytope", "denominator",
+    "dual_denominator", "gorenstein_data", "halfspace_rep", "interior_lattice_points_in_dilate",
+    "is_lattice_polyhedron", "is_reflexive", "lattice_points_in_dilate", "min_dilation",
+    "polar_dual",
+    # series
+    "DeltaPolynomial", "QuasiPolynomial", "TruncatedSeries", "UnivariateSeries",
+    "apply_one_minus_monomial", "delta_polynomial", "ehrhart_series", "geometric_series",
+    "quasipolynomial", "series_mul", "sigma_cone", "specialize_to_univariate",
+]

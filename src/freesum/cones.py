@@ -2,7 +2,10 @@
 
 The cone over P is the set of nonnegative multiples of P embedded at height
 one.  Directional projections travel along ``alpha(p) = (p, 1)``; the
-vertical case is ``p = 0``.
+vertical case is ``p = 0``.  For P containing the origin, the shifted lower
+envelopes of cone(P) and the copies of cone(P) shifted down by i/d are read
+off one enumeration of an integer dilate, each point tagged with its least
+dilation (``lattice_points_with_dilation``).
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .linalg import (
     Vector,
     canonical_basis,
     clear_denominators,
-    lattice_basis_of_span,
     qvec,
 )
 from .polytopes import (
@@ -32,6 +34,7 @@ from .polytopes import (
     dual_denominator,
     halfspace_rep,
     lattice_points_in_scaled,
+    lattice_points_with_dilation,
 )
 
 
@@ -42,16 +45,14 @@ def embed_at_height_one(point) -> QVector:
 
 @dataclass(frozen=True)
 class ConeOverPolytope:
-    """Cone over a rational polytope with generator and halfspace views.
+    """Cone over a rational polytope, described by halfspaces.
 
     ``hrep`` is the integer description of the base polytope's cone: its
     ``facet_rows`` h cut the cone out of its span as ``h . x <= 0``.
     """
 
     base: RationalPolytope
-    generators: tuple[QVector, ...]
     hrep: ConeHRep
-    lattice_span: LatticeBasis
 
     @property
     def ambient_dim(self) -> int:
@@ -77,44 +78,8 @@ class ConeOverPolytope:
 
 @functools.cache
 def cone_over(p: RationalPolytope) -> ConeOverPolytope:
-    """Build both representations of the cone over P."""
-    gens = tuple(embed_at_height_one(v) for v in p.vertices)
-    span = lattice_basis_of_span(gens, p.dim + 1)
-    return ConeOverPolytope(p, gens, cone_hrep(p), span)
-
-
-@dataclass(frozen=True)
-class ShiftedCone:
-    """A cone translated by (index/denominator) in the last coordinate.
-
-    ``direction`` is +1 for upward shifts of the first summand's cone and -1
-    for downward shifts of the second summand's cone.
-    """
-
-    cone: ConeOverPolytope
-    index: int
-    denominator: int
-    direction: int
-
-    def __post_init__(self):
-        if self.direction not in (1, -1):
-            raise InputError("shift direction must be +1 or -1")
-        if not (0 <= self.index <= self.denominator):
-            raise InputError("shift index out of range")
-
-    @property
-    def shift(self) -> Fraction:
-        return Fraction(self.direction * self.index, self.denominator)
-
-    def lattice_points_at_height(self, height) -> list[Vector]:
-        height = Fraction(height)
-        base_height = height - self.shift
-        if base_height < 0 or height.denominator != 1:
-            return []
-        return [
-            y + (int(height),)
-            for y in lattice_points_in_scaled(self.cone.base, base_height)
-        ]
+    """The cone over P with its integer halfspace description."""
+    return ConeOverPolytope(p, cone_hrep(p))
 
 
 def _projection_data(cone: ConeOverPolytope, p) -> tuple[QVector, list[tuple[Vector, int]]]:
@@ -185,21 +150,38 @@ def shifted_envelope_lattice_points(
 
     These are the lattice points lying in the cone shifted up by
     index/d but not in the cone shifted up by (index+1)/d, where d is the
-    denominator of the polar dual.
+    denominator of the polar dual.  As d times the least dilation of an
+    integer point y is an integer, (y, t) is such a point exactly when
+    t = min_dilation(p, y) + index/d.
     """
     d = dual_denominator(p)
     if not 0 <= index <= d - 1:
         raise InputError(f"shift index must be in [0, {d - 1}]")
+    if height_bound < 0:
+        return []
+    shift = Fraction(index, d)
     out = []
-    for t in range(height_bound + 1):
-        lam_here = Fraction(t) - Fraction(index, d)
-        if lam_here < 0:
-            continue
-        here = set(lattice_points_in_scaled(p, lam_here))
-        lam_next = Fraction(t) - Fraction(index + 1, d)
-        if lam_next >= 0:
-            here -= set(lattice_points_in_scaled(p, lam_next))
-        out.extend(y + (t,) for y in here)
+    for y, lam in lattice_points_with_dilation(p, height_bound):
+        t = lam + shift
+        if t.denominator == 1 and t <= height_bound:
+            out.append(y + (int(t),))
+    return sorted(out)
+
+
+def shifted_cone_lattice_points(
+    p: RationalPolytope, index: int, denominator: int, height_bound: int
+) -> list[Vector]:
+    """Integer points (w, s), 0 <= s <= bound, of cone(P) shifted down by
+    index/denominator: those with w in (s + index/denominator)*P, that is,
+    min_dilation(p, w) <= s + index/denominator.  Requires the origin in P.
+    """
+    if not 0 <= index <= denominator:
+        raise InputError("shift index out of range")
+    shift = Fraction(index, denominator)
+    out = []
+    for w, lam in lattice_points_with_dilation(p, height_bound + 1):
+        low = max(0, math.ceil(lam - shift))
+        out.extend(w + (s,) for s in range(low, height_bound + 1))
     return sorted(out)
 
 
@@ -298,10 +280,7 @@ def shifted_envelope_nonempty(
     if height_bound is None:
         height_bound = 4 * rho.denominator * denominator(p) * (n + 1)
     height_bound = Fraction(height_bound)
-    for y in lattice_points_in_scaled(p, height_bound):
-        coords = rep.span_basis.coordinates(y)
-        values = [sum(a * b for a, b in zip(phi, coords)) for phi in rep.one_facets]
-        lam = max([Fraction(0)] + values)
+    for y, lam in lattice_points_with_dilation(p, height_bound):
         if (lam + s).denominator == 1:
             witness = qvec(y) + (lam + s,)
             return ShiftSearchResult(True, witness, True, height_bound)

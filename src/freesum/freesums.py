@@ -16,11 +16,11 @@ from fractions import Fraction
 
 from .cones import (
     ConeOverPolytope,
-    ShiftedCone,
     cone_over,
     embed_at_height_one,
     lambda_p,
     llenv_points,
+    shifted_cone_lattice_points,
     shifted_envelope_lattice_points,
 )
 from .errors import (
@@ -101,9 +101,6 @@ class BraunVerdict:
 class EnvelopeCondition:
     holds: bool
     witness: QVector | None
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 @dataclass(frozen=True)
@@ -299,15 +296,16 @@ def decompose_sigma(
             "not-a-free-sum-at-origin",
         )
     d = dual_denominator(p)
-    cone_k = cone_over(k)
     n1 = p.dim + 1
     total = TruncatedSeries.zero(n1, height_bound)
     for i in range(d):
         envelope = TruncatedSeries.indicator(
             n1, height_bound, shifted_envelope_lattice_points(p, i, height_bound)
         )
-        shifted = ShiftedCone(cone_k, i, d, -1)
-        total = total + series_mul(envelope, sigma_cone(shifted, height_bound))
+        shifted = TruncatedSeries.indicator(
+            n1, height_bound, shifted_cone_lattice_points(k, i, d, height_bound)
+        )
+        total = total + series_mul(envelope, shifted)
     if verify:
         direct = sigma_cone(cone_over(hull_union(p, k)), height_bound)
         if total != direct:

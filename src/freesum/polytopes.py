@@ -291,6 +291,11 @@ def interior_lattice_points_in_dilate(p: RationalPolytope, k: int) -> list[Vecto
     return [y for y in pts if _cone_member_strict(hrep, qvec(y) + (Fraction(k),))]
 
 
+def _require_origin(p: RationalPolytope) -> None:
+    if not p.contains((Fraction(0),) * p.dim):
+        raise PreconditionError("the origin must lie in the polytope", "origin-not-in-polytope")
+
+
 @functools.cache
 def halfspace_rep(p: RationalPolytope) -> HalfspaceRep:
     """Facet functionals of P relative to lin(P); requires the origin in P.
@@ -299,9 +304,7 @@ def halfspace_rep(p: RationalPolytope) -> HalfspaceRep:
     the affine hull, so each row (c, -c0) restricted to the span basis gives
     c.b <= c0, normalized to right-hand side 1 when c0 > 0.
     """
-    origin = (Fraction(0),) * p.dim
-    if not p.contains(origin):
-        raise PreconditionError("the origin must lie in the polytope", "origin-not-in-polytope")
+    _require_origin(p)
     span_basis = lattice_basis_of_span(p.vertices, p.dim)
     if span_basis.rank == 0:
         return HalfspaceRep(span_basis, (), ())
@@ -383,19 +386,40 @@ def gorenstein_data(p: RationalPolytope, index_bound: int = 64) -> GorensteinDat
     raise InconclusiveError(f"no interior lattice point in dilates up to {index_bound}")
 
 
-def min_dilation(p: RationalPolytope, point) -> Fraction | None:
-    """inf of lambda >= 0 with the point in lambda*P; None when outside pos(P).
-
-    The value is the clamped maximum of the facet functionals, which for a
-    bounded P is attained except at nonzero points where it would be zero
-    (impossible for bounded P), so the infimum is an exact minimum.
-    """
-    rep = halfspace_rep(p)
-    coords = rep.span_basis.coordinates(qvec(point))
-    if coords is None:
+def _least_dilation(hrep: ConeHRep, point) -> Fraction | None:
+    """Least lambda >= 0 with the point in lambda*P, None off pos(P), when the
+    origin is in P: then the span rows of ``hrep`` cut out lin(P) x R and each
+    facet row (c, -c0) has c0 >= 0, so the point y needs c.y <= lambda*c0."""
+    x = tuple(point) + (0,)
+    if any(sum(a * b for a, b in zip(row, x)) for row in hrep.span_rows):
         return None
-    for psi in rep.zero_facets:
-        if sum(a * b for a, b in zip(psi, coords)) > 0:
-            return None
-    values = [sum(a * b for a, b in zip(phi, coords)) for phi in rep.one_facets]
-    return max([Fraction(0)] + values)
+    lam = Fraction(0)
+    for row in hrep.facet_rows:
+        value = sum(a * b for a, b in zip(row, x))
+        if value > lam * -row[-1]:
+            if not row[-1]:
+                return None
+            lam = Fraction(value, -row[-1])
+    return lam
+
+
+def min_dilation(p: RationalPolytope, point) -> Fraction | None:
+    """Least lambda >= 0 with the point in lambda*P; None when outside pos(P).
+
+    Requires the origin in P.  For an integer point y of pos(P), the value
+    times dual_denominator(p) is an integer.
+    """
+    _require_origin(p)
+    point = qvec(point)
+    if len(point) != p.dim:
+        raise InputError("point dimension mismatch")
+    return _least_dilation(cone_hrep(p), point)
+
+
+@functools.lru_cache(maxsize=512)
+def lattice_points_with_dilation(p: RationalPolytope, bound) -> tuple[tuple[Vector, Fraction], ...]:
+    """Pairs (y, min_dilation(p, y)) over the integer points y of bound*P, in
+    lex order, for a rational bound >= 0; requires the origin in P."""
+    _require_origin(p)
+    hrep = cone_hrep(p)
+    return tuple((y, _least_dilation(hrep, y)) for y in lattice_points_in_scaled(p, bound))

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
-from .cones import ConeOverPolytope, ShiftedCone
+from .cones import ConeOverPolytope
 from .errors import InputError, InternalCheckError, TruncationError
 from .linalg import solve_linear
 from .polytopes import RationalPolytope, denominator, lattice_points_in_dilate
@@ -26,13 +28,18 @@ def _pruned(terms: dict[Exponent, int]) -> dict[Exponent, int]:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Sparse exponent-to-coefficient map, complete up to the height bound."""
+    """Sparse exponent-to-coefficient map, complete up to the height bound.
+
+    ``terms`` is a read-only view of the dict it was built from, so a series
+    returned by a cache cannot be changed through it.
+    """
 
     num_vars: int
     height_bound: int
-    terms: dict[Exponent, int]
+    terms: Mapping[Exponent, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", MappingProxyType(self.terms))
         for e in self.terms:
             if len(e) != self.num_vars:
                 raise InputError("exponent arity mismatch")
@@ -93,7 +100,7 @@ class TruncatedSeries:
     def first_difference(self, other: TruncatedSeries):
         """Lex-smallest exponent where the two series differ, or None."""
         self._check_compatible(other)
-        exps = sorted(set(self.terms) | set(other.terms))
+        exps = sorted(self.terms.keys() | other.terms.keys())
         for e in exps:
             if self.coefficient(e) != other.coefficient(e):
                 return e, self.coefficient(e), other.coefficient(e)
@@ -135,19 +142,15 @@ class QuasiPolynomial:
 
 
 @functools.lru_cache(maxsize=512)
-def sigma_cone(cone: ConeOverPolytope | ShiftedCone, height_bound: int) -> TruncatedSeries:
+def sigma_cone(cone: ConeOverPolytope, height_bound: int) -> TruncatedSeries:
     """Generating function of the cone's lattice points up to the height bound."""
     if height_bound < 0:
         raise InputError("height bound must be nonnegative")
-    if isinstance(cone, ShiftedCone):
-        num_vars = cone.cone.ambient_dim
-    else:
-        num_vars = cone.ambient_dim
     terms: dict[Exponent, int] = {}
     for t in range(height_bound + 1):
         for pt in cone.lattice_points_at_height(t):
             terms[pt] = 1
-    return TruncatedSeries(num_vars, height_bound, terms)
+    return TruncatedSeries(cone.ambient_dim, height_bound, terms)
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -180,7 +183,7 @@ def apply_one_minus_monomial(s: TruncatedSeries, exp) -> TruncatedSeries:
         raise InputError("exponent arity mismatch")
     if exp[-1] <= 0:
         raise InputError("monomial must have positive height")
-    out = dict(s.terms)
+    out = s.terms.copy()
     for e, c in s.terms.items():
         shifted = tuple(x + y for x, y in zip(e, exp))
         if shifted[-1] <= s.height_bound:

@@ -21,6 +21,7 @@ from freesum import (
     decomposition_check,
     delta_polynomial,
     dual_denominator,
+    embed_at_height_one,
     envelope_condition_check,
     epsilon_project,
     halfspace_rep,
@@ -293,12 +294,13 @@ def _strata_and_sigma(p: RationalPolytope, bound: int):
 
 def _check_idempotence(p: RationalPolytope, rng: random.Random) -> None:
     cone = cone_over(p)
+    generators = [embed_at_height_one(v) for v in p.vertices]
     direction = (F(0),) * p.dim
     samples = [pt for t in range(3) for pt in cone.lattice_points_at_height(t)]
     for _ in range(5):
-        weights = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in cone.generators]
+        weights = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in generators]
         mixed = tuple(
-            sum(w * g[i] for w, g in zip(weights, cone.generators))
+            sum(w * g[i] for w, g in zip(weights, generators))
             for i in range(p.dim + 1)
         )
         samples.append(mixed)

@@ -166,6 +166,26 @@ def test_cli_check_decompose_and_affine(tmp_path):
     assert json.loads(out)["holds_up_to_bound"] is True
 
 
+def test_cli_check_decompose_skew_summand(tmp_path):
+    # K is skew to the axes and J has dual denominator 20, so every layer of
+    # cone(J) meets a copy of cone(K) shifted down by a fraction i/20.
+    j = write_polytope(
+        tmp_path, "j.json", poly(3, (F(-4, 3), F(-4, 3), 0), (0, -2, 0), (F(1, 2), F(7, 4), 0))
+    )
+    k = write_polytope(tmp_path, "k.json", poly(3, (-4, -1, -1), (8, 2, 2)))
+    argv = ["check", "--a", j, "--b", k, "--mode", "decompose", "--height", "3"]
+    first = run_cli(argv)
+    status, out, _ = first
+    assert status == 0
+    report = json.loads(out)
+    assert report["classification"] == "free_sum"
+    assert report["dual_denominator"] == 20
+    assert report["terms"] == 130
+    assert report["split_violations"] == 0
+    assert report["matches_enumeration"] is True
+    assert run_cli(argv) == first
+
+
 def test_cli_check_point_mismatch(tmp_path):
     ga = write_polytope(tmp_path, "ga.json", poly(2, (0, 0), (1, 0)))
     gb = write_polytope(tmp_path, "gb.json", poly(2, (F(1, 2), -1), (F(1, 2), 1)))

@@ -11,33 +11,40 @@ import pytest
 
 from freesum import (
     cone_over,
+    embed_at_height_one,
     epsilon_project,
     lambda_p,
     lattice_points_in_dilate,
     llenv_points,
     on_lower_envelope,
     rind_contains,
+    shifted_cone_lattice_points,
     shifted_envelope_lattice_points,
     shifted_envelope_nonempty,
 )
-from freesum.cones import ShiftedCone
 from freesum.errors import InputError, PreconditionError
 from freesum.linalg import in_pos_hull, qvec
 
 from conftest import F, diamond, poly, segment
 
 
+def generators(p):
+    return tuple(embed_at_height_one(v) for v in p.vertices)
+
+
 def test_cone_over_point():
-    cone = cone_over(poly(2, (0, 0)))
-    assert cone.generators == ((F(0), F(0), F(1)),)
+    p = poly(2, (0, 0))
+    cone = cone_over(p)
+    assert generators(p) == ((F(0), F(0), F(1)),)
     assert cone.contains((0, 0, 5))
     assert not cone.contains((0, 0, -1))
     assert not cone.contains((1, 0, 1))
 
 
 def test_cone_over_unit_segment():
-    cone = cone_over(poly(2, (0, 0), (1, 0)))
-    assert set(cone.generators) == {(F(0), F(0), F(1)), (F(1), F(0), F(1))}
+    p = poly(2, (0, 0), (1, 0))
+    cone = cone_over(p)
+    assert set(generators(p)) == {(F(0), F(0), F(1)), (F(1), F(0), F(1))}
     assert cone.contains((F(1, 2), 0, 1))
     assert not cone.contains((2, 0, 1))
 
@@ -47,7 +54,7 @@ def test_cone_generator_halfspace_agreement():
     shapes = [diamond(), poly(2, (0, 0), (F(2, 3), 0), (0, F(3, 2))), segment(F(1, 4), F(3, 4))]
     for p in shapes:
         cone = cone_over(p)
-        gens = cone.generators
+        gens = generators(p)
         for _ in range(40):
             pt = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(p.dim)) + (
                 Fraction(rng.randint(0, 4)),
@@ -278,11 +285,12 @@ def test_shift_search_symmetry():
 
 
 def test_shifted_cone_heights():
-    cone = cone_over(segment(0, F(2, 3)))
-    down = ShiftedCone(cone, 1, 2, -1)
+    down = shifted_cone_lattice_points(segment(0, F(2, 3)), 1, 2, 1)
     # Height t on the shifted cone corresponds to dilation t + 1/2.
-    assert down.lattice_points_at_height(0) == [(0, 0)]
-    assert down.lattice_points_at_height(1) == [(0, 1), (1, 1)]
-    up = ShiftedCone(cone, 1, 2, 1)
-    assert up.lattice_points_at_height(0) == []
-    assert up.lattice_points_at_height(1) == [(0, 1)]
+    assert [pt for pt in down if pt[-1] == 0] == [(0, 0)]
+    assert [pt for pt in down if pt[-1] == 1] == [(0, 1), (1, 1)]
+    assert shifted_cone_lattice_points(segment(0, F(2, 3)), 1, 2, -1) == []
+    with pytest.raises(InputError):
+        shifted_cone_lattice_points(segment(0, F(2, 3)), 3, 2, 1)
+    with pytest.raises(PreconditionError):
+        shifted_cone_lattice_points(segment(1, 2), 0, 2, 1)

@@ -1,0 +1,113 @@
+"""Envelope layers and shifted cones read off least dilations, against box scans.
+
+The production path enumerates one integer dilate and tags each point with
+its least dilation.  The oracles below are the scans it replaced: a layer is
+the difference of the (t - i/d)- and (t - (i+1)/d)-dilates, and the cone
+shifted down by i/d holds the points of the (t + i/d)-dilate at height t.
+Segments and polygons containing the origin are drawn with d <= 12, H <= 4.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from freesum import (
+    RationalPolytope,
+    dual_denominator,
+    min_dilation,
+    shifted_cone_lattice_points,
+    shifted_envelope_lattice_points,
+)
+from freesum.errors import InputError, PreconditionError
+from freesum.polytopes import lattice_points_in_scaled, lattice_points_with_dilation
+
+from conftest import F, poly, segment
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def polytopes_with_origin(draw):
+    """Segments in R^1 or R^2 and polygons in R^2, the origin in each: either
+    as one of the points, or on the segment from a point v to -c*v."""
+    n = draw(st.integers(1, 2))
+    count = draw(st.integers(1, 2 if n == 1 else 4))
+    points = [tuple(draw(small) for _ in range(n)) for _ in range(count)]
+    if draw(st.booleans()):
+        points.append((Fraction(0),) * n)
+    else:
+        c = draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
+        points.append(tuple(-c * x for x in points[0]))
+    p = RationalPolytope.from_points(n, points)
+    assume(dual_denominator(p) <= 12)
+    return p
+
+
+def oracle_layer(p: RationalPolytope, index: int, bound: int) -> list:
+    d = dual_denominator(p)
+    out = []
+    for t in range(bound + 1):
+        lam_here = Fraction(t) - Fraction(index, d)
+        if lam_here < 0:
+            continue
+        here = set(lattice_points_in_scaled(p, lam_here))
+        lam_next = Fraction(t) - Fraction(index + 1, d)
+        if lam_next >= 0:
+            here -= set(lattice_points_in_scaled(p, lam_next))
+        out.extend(y + (t,) for y in here)
+    return sorted(out)
+
+
+def oracle_shifted_cone(p: RationalPolytope, index: int, den: int, bound: int) -> list:
+    return sorted(
+        y + (t,)
+        for t in range(bound + 1)
+        for y in lattice_points_in_scaled(p, t + Fraction(index, den))
+    )
+
+
+layer_settings = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@layer_settings
+@given(polytopes_with_origin(), st.integers(0, 4))
+def test_layers_match_dilate_differences(p, bound):
+    d = dual_denominator(p)
+    for index in range(d):
+        assert shifted_envelope_lattice_points(p, index, bound) == oracle_layer(p, index, bound)
+
+
+@layer_settings
+@given(polytopes_with_origin(), st.integers(0, 4), st.integers(1, 12), st.data())
+def test_shifted_cone_matches_fractional_dilates(p, bound, den, data):
+    index = data.draw(st.integers(0, den))
+    assert shifted_cone_lattice_points(p, index, den, bound) == oracle_shifted_cone(
+        p, index, den, bound
+    )
+
+
+@layer_settings
+@given(polytopes_with_origin(), st.integers(0, 4))
+def test_least_dilation_is_on_the_dual_grid(p, bound):
+    d = dual_denominator(p)
+    for y, lam in lattice_points_with_dilation(p, bound):
+        assert lam == min_dilation(p, y)
+        assert (d * lam).denominator == 1
+        assert y in lattice_points_in_scaled(p, lam)
+        assert lam == 0 or y not in lattice_points_in_scaled(p, lam - Fraction(1, d))
+
+
+def test_dilation_helpers_require_origin():
+    p = poly(2, (1, 0), (2, 1))
+    with pytest.raises(PreconditionError):
+        lattice_points_with_dilation(p, 2)
+    with pytest.raises(PreconditionError):
+        min_dilation(p, (1, 0))
+    with pytest.raises(InputError):
+        min_dilation(segment(-1, 1), (0, 0))

@@ -15,6 +15,7 @@ from freesum import (
     converse_search,
     decompose_sigma,
     decomposition_check,
+    embed_at_height_one,
     envelope_condition_check,
     gorenstein_affine_check,
     hull_union,
@@ -95,19 +96,21 @@ def test_classify_matches_cone_span_criterion():
     w = classify_sum(j, k)
     hull = hull_union(j, k)
     n1 = j.dim + 1
+
+    def cone_lattice_span(p):
+        return lattice_basis_of_span([embed_at_height_one(v) for v in p.vertices], n1)
+
+    span_j, span_k, span_hull = (cone_lattice_span(p) for p in (j, k, hull))
     span_sum = lattice_basis_of_span(
-        [qvec(v) for v in cone_over(j).lattice_span.vectors]
-        + [qvec(v) for v in cone_over(k).lattice_span.vectors],
+        [qvec(v) for v in span_j.vectors] + [qvec(v) for v in span_k.vectors],
         n1,
     )
-    joint_rows = list(cone_over(j).lattice_span.vectors) + list(
-        cone_over(k).lattice_span.vectors
-    )
+    joint_rows = list(span_j.vectors) + list(span_k.vectors)
     from freesum.linalg import canonical_basis
 
     generated = canonical_basis(joint_rows, n1)
-    assert generated.vectors == cone_over(hull).lattice_span.vectors
-    assert span_sum.vectors == cone_over(hull).lattice_span.vectors
+    assert generated.vectors == span_hull.vectors
+    assert span_sum.vectors == span_hull.vectors
     assert w.kind == AFFINE_FREE_SUM
 
 
@@ -400,7 +403,7 @@ def test_decomposition_check_matches_bruteforce():
         for t in range(bound + r):
             for pt in cone_j.lattice_points_at_height(t):
                 candidates.add(epsilon_project(cone_j, pt, p))
-        gens_k = cone_k.generators
+        gens_k = tuple(embed_at_height_one(v) for v in k.vertices)
         report = decomposition_check(j, k, p, bound)
         expected_violations = []
         checked = 0

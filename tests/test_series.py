@@ -16,11 +16,11 @@ from freesum import (
     lattice_points_in_dilate,
     quasipolynomial,
     series_mul,
-    sigma_cone,
+    shifted_cone_lattice_points,
     shifted_envelope_lattice_points,
+    sigma_cone,
     specialize_to_univariate,
 )
-from freesum.cones import ShiftedCone
 from freesum.errors import InputError, TruncationError
 from freesum.series import poly_divmod, poly_mul, poly_pow
 
@@ -213,12 +213,24 @@ def test_quasipolynomial_matches_oracle_counts():
 
 
 def test_sigma_shifted_cone_downward():
-    cone = cone_over(segment(0, F(2, 3)))
-    s = sigma_cone(ShiftedCone(cone, 1, 2, -1), 3)
+    s = TruncatedSeries.indicator(2, 3, shifted_cone_lattice_points(segment(0, F(2, 3)), 1, 2, 3))
     assert all(e[-1] >= 0 for e in s.terms)
     # Height t of the shifted cone carries the points of the (t + 1/2)-dilate.
     assert {e for e in s.terms if e[-1] == 0} == {(0, 0)}
     assert {e for e in s.terms if e[-1] == 1} == {(0, 1), (1, 1)}
+
+
+def test_sigma_cone_terms_read_only():
+    seg = segment(-1, 1)
+    s = sigma_cone(cone_over(seg), 3)
+    expected = dict(s.terms)
+    assert expected[(0, 0)] == 1
+    with pytest.raises(TypeError):
+        s.terms[(0, 0)] = 5
+    again = sigma_cone(cone_over(seg), 3)
+    assert again is s
+    assert dict(again.terms) == expected
+    assert again.terms == expected
 
 
 def test_poly_divmod_exact():
