@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import (
-    ConeOverPolytope,
+    LambdaP,
     cone_over,
-    embed_at_height_one,
     lambda_p,
     llenv_points,
     shifted_cone_lattice_points,
@@ -42,6 +41,8 @@ from .linalg import (
 )
 from .polytopes import (
     RationalPolytope,
+    _least_dilation,
+    cone_hrep,
     denominator,
     direction_basis,
     dual_denominator,
@@ -147,6 +148,20 @@ def _span_cap_lattice(directions, lattice: LatticeBasis) -> LatticeBasis:
     return canonical_basis([tuple(int(x) for x in r) for r in rows], lattice.ambient_dim)
 
 
+def _split_lattices(
+    j: RationalPolytope, k: RationalPolytope, p: QVector
+) -> tuple[LambdaP, LatticeBasis, LatticeBasis]:
+    """The refinement Lambda^p, stored scaled by r = den(p), and the lattices
+    of the direction spaces of J and K inside r*Lambda^p."""
+    refinement = lambda_p(p)
+    target = refinement.scaled_basis
+    return (
+        refinement,
+        _span_cap_lattice(direction_basis(j), target),
+        _span_cap_lattice(direction_basis(k), target),
+    )
+
+
 @functools.lru_cache(maxsize=512)
 def classify_sum(j: RationalPolytope, k: RationalPolytope) -> FreeSumWitness:
     """Classify conv(J u K) as a free sum or affine free sum.
@@ -180,10 +195,8 @@ def classify_sum(j: RationalPolytope, k: RationalPolytope) -> FreeSumWitness:
             "intersection point of the affine spans is not in both summands",
             "intersection-point-outside",
         )
-    refinement = lambda_p(p)
+    refinement, sub_j, sub_k = _split_lattices(j, k, p)
     target = refinement.scaled_basis
-    sub_j = _span_cap_lattice(dirs_j, target) if dirs_j else LatticeBasis(n, ())
-    sub_k = _span_cap_lattice(dirs_k, target) if dirs_k else LatticeBasis(n, ())
     if not complementary_in(target, sub_j, sub_k):
         raise ClassificationError(
             "recentered span lattices are not complementary", "not-complementary"
@@ -368,117 +381,67 @@ def gorenstein_affine_check(
     return check_braun_multivariate(witness, height_bound)
 
 
-def _fiber_entry(cone: ConeOverPolytope, start: QVector, direction: QVector) -> Fraction | None:
-    """Least mu with start + mu*direction in the cone, or None if the fiber
-    misses the cone; the direction must lie in the cone."""
-    entry: Fraction | None = None
-    for h in cone.hrep.facet_rows:
-        hd = sum(a * b for a, b in zip(h, direction))
-        hs = sum(a * b for a, b in zip(h, start))
-        if hd == 0:
-            if hs > 0:
-                return None
-        else:
-            # hd < 0 because the direction lies in the pointed cone.
-            bound = hs / -hd
-            entry = bound if entry is None or bound > entry else entry
-    if entry is None:
-        raise PreconditionError("fiber direction is unbounded in the cone", "direction-unbounded")
-    return entry
-
-
 def decomposition_check(
     j: RationalPolytope, k: RationalPolytope, p, height_bound: int
 ) -> DecompositionReport:
     """Existence and uniqueness of the split z = x + y over the hull cone.
 
-    For every lattice point z of cone(conv(J u K)) up to the height bound,
-    the candidate x on the projected lattice envelope of cone(J) is pinned
-    down by splitting the projection of z across the two direction spaces;
-    z passes when that candidate is an envelope point with z - x in cone(K).
-    Exactly-one is structural once the direction spans meet trivially.
+    For every lattice point z = (z', t) of cone(conv(J u K)) up to the height
+    bound, the offset v = r*(z' - t*p), r = den(p), is split in integer
+    coordinates of the lattices of the two direction spaces inside
+    r*Lambda^p.  z passes when the split is integral and the least dilations
+    of its two parts in the recentred summands r*(J - p) and r*(K - p) add up
+    to at most t: then x = (a_J/r + mu*p, mu), with a_J the J part and mu its
+    least dilation, is the one candidate on the projected lattice envelope of
+    cone(J) with z - x in cone(K).  Exactly-one is structural once the
+    direction spans meet trivially.  Requires p in both summands.
     """
     p = qvec(p)
     n = j.dim
     if not j.contains(p):
         raise PreconditionError("projection point must lie in the first summand", "point-not-in-summand")
-    dirs_j = direction_basis(j)
-    dirs_k = direction_basis(k)
-    if rational_rank(list(dirs_j) + list(dirs_k)) != len(dirs_j) + len(dirs_k):
-        raise PreconditionError("direction spaces intersect nontrivially", "spans-intersect-in-flat")
-    cone_j = cone_over(j)
-    cone_k = cone_over(k)
-    cone_h = cone_over(hull_union(j, k))
-    refinement = lambda_p(p)
-    ap = embed_at_height_one(p)
-    columns = list(dirs_j) + list(dirs_k)
-    n_j = len(dirs_j)
-    m = len(columns)
-
-    # The splitting solve and the refined-lattice membership run once per
-    # lattice point, so both get precomputed inverses instead of fresh
-    # eliminations.
-    if m:
-        mat_rows = [[col[i] for col in columns] for i in range(n)]
-        pivot_rows: list[int] = []
-        probe: list = []
-        for i in range(n):
-            if rational_rank(probe + [mat_rows[i]]) > len(probe):
-                probe.append(mat_rows[i])
-                pivot_rows.append(i)
-            if len(pivot_rows) == m:
-                break
-        solver = invert_rational([mat_rows[i] for i in pivot_rows])
-        other_rows = [i for i in range(n) if i not in pivot_rows]
-    basis_inv = invert_rational(
-        [[row[i] for row in refinement.scaled_basis.vectors] for i in range(n)]
-    )
-    r = refinement.r
-
-    def in_refinement(c: tuple) -> bool:
-        w = [r * x for x in c]
-        if any(x.denominator != 1 for x in w):
-            return False
-        return all(
-            sum(a * b for a, b in zip(row, w)).denominator == 1 for row in basis_inv
+    if not k.contains(p):
+        raise PreconditionError(
+            "projection point must lie in the second summand", "point-not-in-summand"
         )
+    refinement, sub_j, sub_k = _split_lattices(j, k, p)
+    basis = sub_j.vectors + sub_k.vectors
+    if rational_rank(basis) != len(basis):
+        raise PreconditionError("direction spaces intersect nontrivially", "spans-intersect-in-flat")
+    r = refinement.r
+    rp = tuple(int(r * x) for x in p)
+    # Rows of the left inverse (B^T B)^-1 B^T of the basis columns B that give
+    # the J coordinates, cleared to integers by their common denominator den.
+    gram_inv = invert_rational([[sum(a * b for a, b in zip(u, w)) for w in basis] for u in basis])
+    left = [
+        [sum(g * w[i] for g, w in zip(row, basis)) for i in range(n)]
+        for row in gram_inv[: sub_j.rank]
+    ]
+    den = math.lcm(*(x.denominator for row in left for x in row))
+    left = [[int(den * x) for x in row] for row in left]
+    # Least dilations in J - p are r times those in r*(J - p).
+    hrep_j = cone_hrep(j.translate(tuple(-x for x in p)))
+    hrep_k = cone_hrep(k.translate(tuple(-x for x in p)))
+    cone_h = cone_over(hull_union(j, k))
 
     violations = []
     checked = 0
-    zero = Fraction(0)
     for t in range(height_bound + 1):
         for z in cone_h.lattice_points_at_height(t):
             checked += 1
-            zq = qvec(z)
-            projected = [zq[i] - zq[n] * p[i] for i in range(n)]
-            if m:
-                sol = [
-                    sum(solver[a][b] * projected[pivot_rows[b]] for b in range(m))
-                    for a in range(m)
-                ]
-                consistent = all(
-                    sum(columns[a][i] * sol[a] for a in range(m)) == projected[i]
-                    for i in other_rows
-                )
-            else:
-                sol = []
-                consistent = not any(projected)
-            if not consistent:
+            # With p in J and K, z'/t lies in p + span(J - p) + span(K - p)
+            # for t > 0 (and z = 0 at t = 0), so v always lies in the span of
+            # the two blocks and only the J coordinates are needed.
+            v = [r * a - t * b for a, b in zip(z, rp)]
+            y = [sum(a * b for a, b in zip(row, v)) for row in left]
+            if any(c % den for c in y):
                 violations.append((z, 0))
                 continue
-            c_j = tuple(
-                sum(sol[a] * dirs_j[a][coord] for a in range(n_j)) for coord in range(n)
-            )
-            start = c_j + (zero,)
-            mu = _fiber_entry(cone_j, start, ap)
-            if mu is None:
-                violations.append((z, 0))
-                continue
-            x = tuple(s + mu * a for s, a in zip(start, ap))
-            ok = in_refinement(c_j) and cone_k.contains(
-                tuple(a - b for a, b in zip(zq, x))
-            )
-            if not ok:
+            # The two parts scaled by den; least dilations scale along.
+            a_j = [sum(c * w[i] for c, w in zip(y, sub_j.vectors)) for i in range(n)]
+            lam_j = _least_dilation(hrep_j, a_j)
+            lam_k = _least_dilation(hrep_k, [den * a - b for a, b in zip(v, a_j)])
+            if lam_j is None or lam_k is None or lam_j + lam_k > den * r * t:
                 violations.append((z, 0))
     return DecompositionReport(checked, tuple(violations))
 

@@ -389,18 +389,18 @@ def gorenstein_data(p: RationalPolytope, index_bound: int = 64) -> GorensteinDat
 def _least_dilation(hrep: ConeHRep, point) -> Fraction | None:
     """Least lambda >= 0 with the point in lambda*P, None off pos(P), when the
     origin is in P: then the span rows of ``hrep`` cut out lin(P) x R and each
-    facet row (c, -c0) has c0 >= 0, so the point y needs c.y <= lambda*c0."""
-    x = tuple(point) + (0,)
-    if any(sum(a * b for a, b in zip(row, x)) for row in hrep.span_rows):
+    facet row (c, -c0) has c0 >= 0, so the point y needs c.y <= lambda*c0.
+    The running maximum is kept as the ratio num/den of plain numbers."""
+    if any(sum(a * b for a, b in zip(row, point)) for row in hrep.span_rows):
         return None
-    lam = Fraction(0)
+    num, den = 0, 1
     for row in hrep.facet_rows:
-        value = sum(a * b for a, b in zip(row, x))
-        if value > lam * -row[-1]:
+        value = sum(a * b for a, b in zip(row, point))
+        if value * den > num * -row[-1]:
             if not row[-1]:
                 return None
-            lam = Fraction(value, -row[-1])
-    return lam
+            num, den = value, -row[-1]
+    return Fraction(num, den)
 
 
 def min_dilation(p: RationalPolytope, point) -> Fraction | None:

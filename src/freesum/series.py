@@ -30,8 +30,9 @@ def _pruned(terms: dict[Exponent, int]) -> dict[Exponent, int]:
 class TruncatedSeries:
     """Sparse exponent-to-coefficient map, complete up to the height bound.
 
-    ``terms`` is a read-only view of the dict it was built from, so a series
-    returned by a cache cannot be changed through it.
+    ``terms`` is a read-only view of a copy of the mapping it was built from,
+    so neither the caller's mapping nor a series returned by a cache can be
+    changed through it.
     """
 
     num_vars: int
@@ -39,7 +40,7 @@ class TruncatedSeries:
     terms: Mapping[Exponent, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", MappingProxyType(self.terms))
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
         for e in self.terms:
             if len(e) != self.num_vars:
                 raise InputError("exponent arity mismatch")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from freesum import (
     AFFINE_FREE_SUM,
@@ -26,7 +28,7 @@ from freesum import (
     verify_cone_decomposition,
 )
 from freesum.errors import ClassificationError, PreconditionError
-from freesum.linalg import in_pos_hull, qvec
+from freesum.linalg import in_pos_hull, qvec, rational_rank
 from freesum.series import series_mul
 
 from conftest import F, axis_seg, diamond, poly, segment
@@ -376,7 +378,55 @@ def test_decomposition_check_forced_counterexample():
     assert cone_hull.contains((1, 1, 1))
 
 
-def test_decomposition_check_matches_bruteforce():
+def test_decomposition_check_requires_point_in_both_summands():
+    j = poly(2, (0, 0), (2, 0))
+    k = poly(2, (3, -1), (3, 1))
+    for first, second in ((j, k), (k, j)):
+        with pytest.raises(PreconditionError) as err:
+            decomposition_check(first, second, (F(1), F(0)), 4)
+        assert err.value.code == "point-not-in-summand"
+
+
+@st.composite
+def split_cases(draw):
+    """Summands through a common rational point p: two segments in R^2 along
+    independent integer directions, whose lattices may or may not be
+    complementary, or a polygon in a plane of R^3 and a segment transverse to
+    it.  p is an endpoint of a segment when its backward reach is zero."""
+    n = draw(st.sampled_from((2, 3)))
+    q = draw(st.integers(1, 3))
+    p = tuple(F(draw(st.integers(-q, q)), q) for _ in range(n))
+    dirs = [tuple(draw(st.integers(-2, 2)) for _ in range(n)) for _ in range(n)]
+    assume(rational_rank(dirs) == n)
+    back = st.sampled_from((F(0), F(1, 2), F(1)))
+    ahead = st.sampled_from((F(1, 2), F(1), F(3, 2)))
+
+    def at(*steps):
+        return tuple(x + sum(c * d[i] for c, d in steps) for i, x in enumerate(p))
+
+    def seg(d):
+        return poly(n, at((-draw(back), d)), at((draw(ahead), d)))
+
+    if n == 2:
+        return seg(dirs[0]), seg(dirs[1]), p
+    a, b = dirs[0], dirs[1]
+    corners = [
+        at((draw(ahead), a)),
+        at((draw(ahead), b)),
+        at((-draw(ahead), a), (-draw(ahead), b)),
+    ]
+    if draw(st.booleans()):
+        corners.append(at((1, a), (1, b)))
+    return poly(n, *corners), seg(dirs[2]), p
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(split_cases(), st.integers(0, 3))
+@example((poly(2, (0, 0), (1, 0)), poly(2, (F(1, 2), -1), (F(1, 2), 1)), (F(1, 2), F(0))), 5)
+@example((axis_seg(2, 0, 0, F(2, 3)), axis_seg(2, 1, -1, 1), (F(0), F(0))), 5)
+@example((poly(2, (0, 0), (1, 0)), poly(2, (F(1, 3), -1), (F(1, 3), 1)), (F(1, 3), F(0))), 5)
+@example((poly(2, (-1, 0), (1, 0)), poly(2, (-1, -2), (1, 2)), (F(0), F(0))), 3)
+def test_decomposition_check_matches_bruteforce(case, bound):
     """Candidate-splitting route against literal envelope enumeration.
 
     The brute-force side projects every lattice point of cone(J) (heights up
@@ -385,40 +435,30 @@ def test_decomposition_check_matches_bruteforce():
     """
     from freesum.cones import epsilon_project
 
-    cases = [
-        (poly(2, (0, 0), (1, 0)), poly(2, (F(1, 2), -1), (F(1, 2), 1)), (F(1, 2), F(0))),
-        (segment(-2, 3), None, None),
-        (axis_seg(2, 0, 0, F(2, 3)), axis_seg(2, 1, -1, 1), (F(0), F(0))),
-        (poly(2, (0, 0), (1, 0)), poly(2, (F(1, 3), -1), (F(1, 3), 1)), (F(1, 3), F(0))),
-    ]
-    for j, k, p in cases:
-        if k is None:
-            continue
-        bound = 5
-        cone_j = cone_over(j)
-        cone_k = cone_over(k)
-        hull_cone = cone_over(hull_union(j, k))
-        r = lambda_p(p).r
-        candidates = set()
-        for t in range(bound + r):
-            for pt in cone_j.lattice_points_at_height(t):
-                candidates.add(epsilon_project(cone_j, pt, p))
-        gens_k = tuple(embed_at_height_one(v) for v in k.vertices)
-        report = decomposition_check(j, k, p, bound)
-        expected_violations = []
-        checked = 0
-        for t in range(bound + 1):
-            for z in hull_cone.lattice_points_at_height(t):
-                checked += 1
-                zq = qvec(z)
-                count = sum(
-                    1
-                    for x in candidates
-                    if in_pos_hull(tuple(a - b for a, b in zip(zq, x)), gens_k)
-                )
-                if count != 1:
-                    expected_violations.append((z, count))
-        assert report.points_checked == checked
-        assert sorted(v[0] for v in report.violations) == sorted(
-            v[0] for v in expected_violations
-        )
+    j, k, p = case
+    cone_j = cone_over(j)
+    hull_cone = cone_over(hull_union(j, k))
+    r = lambda_p(p).r
+    candidates = set()
+    for t in range(bound + r):
+        for pt in cone_j.lattice_points_at_height(t):
+            candidates.add(epsilon_project(cone_j, pt, p))
+    gens_k = tuple(embed_at_height_one(v) for v in k.vertices)
+    report = decomposition_check(j, k, p, bound)
+    expected_violations = []
+    checked = 0
+    for t in range(bound + 1):
+        for z in hull_cone.lattice_points_at_height(t):
+            checked += 1
+            zq = qvec(z)
+            count = sum(
+                1
+                for x in candidates
+                if in_pos_hull(tuple(a - b for a, b in zip(zq, x)), gens_k)
+            )
+            if count != 1:
+                expected_violations.append((z, count))
+    assert report.points_checked == checked
+    assert sorted(v[0] for v in report.violations) == sorted(
+        v[0] for v in expected_violations
+    )

@@ -233,6 +233,16 @@ def test_sigma_cone_terms_read_only():
     assert again.terms == expected
 
 
+def test_series_owns_its_terms():
+    d = {(0, 0): 1}
+    s = TruncatedSeries(2, 3, d)
+    d[(0, 0)] = 5
+    d[(1, 9)] = 2
+    assert s.coefficient((0, 0)) == 1
+    assert s.terms == {(0, 0): 1}
+    assert all(e[-1] <= s.height_bound for e in s.terms)
+
+
 def test_poly_divmod_exact():
     a = poly_mul([1, 2, 1], [1, 0, -1])
     q, r = poly_divmod(a, [1, 0, -1])
