@@ -5,7 +5,8 @@ one.  Directional projections travel along ``alpha(p) = (p, 1)``; the
 vertical case is ``p = 0``.  For P containing the origin, the shifted lower
 envelopes of cone(P) and the copies of cone(P) shifted down by i/d are read
 off one enumeration of an integer dilate, each point tagged with its least
-dilation (``lattice_points_with_dilation``).
+dilation (``lattice_points_with_dilation``).  ``decompose_sigma`` reads the
+same tags in one pass; the two helpers here list single layers.
 """
 
 from __future__ import annotations

@@ -19,8 +19,6 @@ from .cones import (
     cone_over,
     lambda_p,
     llenv_points,
-    shifted_cone_lattice_points,
-    shifted_envelope_lattice_points,
 )
 from .errors import (
     ClassificationError,
@@ -45,9 +43,9 @@ from .polytopes import (
     cone_hrep,
     denominator,
     direction_basis,
-    dual_denominator,
     gorenstein_data,
     is_lattice_polyhedron,
+    lattice_points_with_dilation,
     polar_dual,
 )
 from .series import (
@@ -221,8 +219,12 @@ def envelope_condition_check(j: RationalPolytope, p, height_bound: int) -> Envel
     return EnvelopeCondition(True, None)
 
 
+@functools.lru_cache(maxsize=512)
 def check_braun_multivariate(witness: FreeSumWitness, height_bound: int) -> BraunVerdict:
-    """Compare sigma of the hull cone with the one-minus-monomial product."""
+    """Compare sigma of the hull cone with the one-minus-monomial product.
+
+    Cached, like ``sigma_cone``: the verdict is frozen and its residual is a
+    read-only series, so callers share no mutable state."""
     hull = hull_union(witness.j, witness.k)
     lhs = sigma_cone(cone_over(hull), height_bound)
     product = series_mul(
@@ -295,8 +297,16 @@ def check_braun_univariate(
 def decompose_sigma(
     p: RationalPolytope, k: RationalPolytope, height_bound: int, verify: bool = True
 ) -> TruncatedSeries:
-    """Assemble sigma of the hull cone from shifted envelopes of P and shifted
-    copies of cone(K), one term per shift index below the dual denominator.
+    """Assemble sigma of the hull cone from the shifted lower envelopes of
+    cone(P) and the copies of cone(K) shifted down, in one pass.
+
+    With d the dual denominator of P, an integer point y of H*P lies on
+    exactly one envelope layer: at height t = ceil(lambda(y)), shifted by
+    the gap i/d = t - lambda(y), lambda the least dilation.  It pairs with
+    the points (w, s) of cone(K) shifted down by that gap, those with
+    s >= lambda_K(w) - i/d, which is t + s >= lambda(y) + lambda_K(w).  So
+    the pair (y, w) adds one to every term (y + w, T) with
+    ceil(lambda(y) + lambda_K(w)) <= T <= H, and lambda_K(w) <= H.
 
     With ``verify`` the result is compared against direct enumeration of the
     hull cone and a mismatch raises, since equality is unconditional for
@@ -308,17 +318,24 @@ def decompose_sigma(
             "the shifted-envelope decomposition applies to free sums at the origin",
             "not-a-free-sum-at-origin",
         )
-    d = dual_denominator(p)
-    n1 = p.dim + 1
-    total = TruncatedSeries.zero(n1, height_bound)
-    for i in range(d):
-        envelope = TruncatedSeries.indicator(
-            n1, height_bound, shifted_envelope_lattice_points(p, i, height_bound)
-        )
-        shifted = TruncatedSeries.indicator(
-            n1, height_bound, shifted_cone_lattice_points(k, i, d, height_bound)
-        )
-        total = total + series_mul(envelope, shifted)
+    points_p = lattice_points_with_dilation(p, height_bound)
+    points_k = lattice_points_with_dilation(k, height_bound)
+    # Least dilations as integers over one common denominator; K sorted by
+    # them, so each y stops at the first w that no height reaches.
+    den = math.lcm(*(lam.denominator for _, lam in points_p + points_k))
+    scaled_k = sorted((lam.numerator * (den // lam.denominator), w) for w, lam in points_k)
+    terms: dict[tuple[int, ...], int] = {}
+    for y, lam in points_p:
+        a = lam.numerator * (den // lam.denominator)
+        for b, w in scaled_k:
+            low = -((-a - b) // den)
+            if low > height_bound:
+                break
+            base = tuple(u + v for u, v in zip(y, w))
+            for t in range(low, height_bound + 1):
+                key = base + (t,)
+                terms[key] = terms.get(key, 0) + 1
+    total = TruncatedSeries(p.dim + 1, height_bound, terms)
     if verify:
         direct = sigma_cone(cone_over(hull_union(p, k)), height_bound)
         if total != direct:

@@ -47,7 +47,7 @@ def parse_polytope(obj) -> RationalPolytope:
     if not isinstance(obj, dict) or "dim" not in obj or "vertices" not in obj:
         raise InputError('a polytope needs "dim" and "vertices" fields')
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise InputError("polytope dimension must be a nonnegative integer")
     vertices = obj["vertices"]
     if not isinstance(vertices, list) or not vertices:

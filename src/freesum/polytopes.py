@@ -4,7 +4,10 @@ A polytope is stored by its irredundant vertex list in Q^n.  Each point set
 gets one facet scan (``_affine_data``), and every geometric view reads from
 it: the vertex test, the integer cone description used for membership and
 enumeration, the facet functionals relative to the linear span, and the
-polar dual.  The hot enumeration loops run on plain ints.
+polar dual.  ``translate`` and ``dilate`` move the scan with the polytope.
+Lattice points of a dilate are enumerated in integer coordinates of its
+affine lattice (``_slice_frame``), on plain ints, with no candidate that
+fails a facet.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from fractions import Fraction
 
 from .errors import InconclusiveError, InputError, PreconditionError
 from .linalg import (
+    IntMatrix,
     LatticeBasis,
     QVector,
     Vector,
     clear_denominators,
+    hnf,
     invert_rational,
     lattice_basis_of_span,
     primitive_vector,
@@ -66,17 +71,31 @@ class RationalPolytope:
 
     def translate(self, shift) -> RationalPolytope:
         shift = qvec(shift)
-        return RationalPolytope(
-            self.dim, tuple(tuple(a + s for a, s in zip(v, shift)) for v in self.vertices)
-        )
+        if len(shift) != self.dim:
+            raise InputError("shift dimension mismatch")
+        return self._image(Fraction(1), shift)
 
     def dilate(self, factor) -> RationalPolytope:
         factor = Fraction(factor)
         if factor <= 0:
             raise InputError("dilation factor must be positive")
-        return RationalPolytope(
-            self.dim, tuple(tuple(factor * a for a in v) for v in self.vertices)
-        )
+        return self._image(factor, (Fraction(0),) * self.dim)
+
+    def _image(self, factor: Fraction, shift: QVector) -> RationalPolytope:
+        """Image under x -> factor*x + shift, with its facet data moved from
+        this polytope's instead of scanned again: coordinates relative to v0
+        are unchanged, the basis scales by the factor, the facet normals by
+        its inverse, and each offset moves by the new normal applied to the
+        shift."""
+        vertices = tuple(tuple(factor * a + s for a, s in zip(v, shift)) for v in self.vertices)
+        _, basis, is_vertex, ambient = _affine_data(self.vertices)
+        facets = []
+        for c, c0 in ambient:
+            c = tuple(a / factor for a in c)
+            facets.append((c, c0 + sum(a * s for a, s in zip(c, shift))))
+        basis = tuple(tuple(factor * a for a in b) for b in basis)
+        _AFFINE_DATA.setdefault(vertices, (vertices[0], basis, is_vertex, tuple(facets)))
+        return RationalPolytope(self.dim, vertices)
 
     def contains(self, point) -> bool:
         point = qvec(point)
@@ -159,7 +178,9 @@ def _facets_full_dim(points: list[QVector], d: int) -> list[tuple[Vector, int]]:
     return sorted(seen.values())
 
 
-@functools.cache
+_AFFINE_DATA: dict[tuple[QVector, ...], tuple] = {}
+
+
 def _affine_data(points: tuple[QVector, ...]):
     """The facet scan of conv(points), run once per point set.
 
@@ -167,7 +188,17 @@ def _affine_data(points: tuple[QVector, ...]):
     is a vertex iff the normals of the facets tight at it have rank equal to
     the affine dimension d (for d = 0 every point passes).  Ambient facets
     are rational pairs (c, c0) with conv(points) = {x in aff : c.x <= c0}.
+    ``translate`` and ``dilate`` store the moved data of their image here
+    instead of scanning again.
     """
+    data = _AFFINE_DATA.get(points)
+    if data is None:
+        data = _AFFINE_DATA[points] = _facet_scan(points)
+    return data
+
+
+def _facet_scan(points: tuple[QVector, ...]):
+    """The uncached body of ``_affine_data``."""
     v0 = points[0]
     # Row-reduce the directions to a rational basis of the direction space.
     basis: list[QVector] = []
@@ -245,36 +276,129 @@ def lattice_points_in_scaled(p: RationalPolytope, factor) -> tuple[Vector, ...]:
     return _lattice_points_in_scaled(p, lam)
 
 
-@functools.lru_cache(maxsize=4096)
-def _lattice_points_in_scaled(p: RationalPolytope, lam: Fraction) -> tuple[Vector, ...]:
+@dataclass(frozen=True)
+class _SliceFrame:
+    """Integer coordinates adapted to the slices of the cone over P.
+
+    With A the span rows of ``cone_hrep(p)`` and U unimodular such that
+    ``A U = [L | 0]``, L lower triangular, y = U x splits x into r fixed
+    coordinates, solved from ``L x = -a0 * lam`` on the slice at height lam,
+    and k free ones (k the affine dimension).  ``columns`` are the columns of
+    U; each facet row h becomes ``(h U[:, :r], h U[:, r:], h0)``.  ``lo`` and
+    ``hi`` bound the first k - 1 free coordinates of the vertices.
+    """
+
+    lower: tuple[Vector, ...]
+    span_consts: tuple[int, ...]
+    columns: tuple[Vector, ...]
+    facets: tuple[tuple[Vector, Vector, int], ...]
+    lo: tuple[Fraction, ...]
+    hi: tuple[Fraction, ...]
+
+
+@functools.cache
+def _slice_frame(p: RationalPolytope) -> _SliceFrame:
     hrep = cone_hrep(p)
     n = p.dim
-    q = lam.denominator
-    height = lam.numerator
-    lo = [min(lam * v[j] for v in p.vertices) for j in range(n)]
-    hi = [max(lam * v[j] for v in p.vertices) for j in range(n)]
-    ranges = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
-    if any(len(r) == 0 for r in ranges):
-        return ()
-    # Candidate (y, lam) is tested scaled by q: (q*y, height), all integers.
-    span = [(tuple(q * z for z in row[:n]), row[n] * height) for row in hrep.span_rows]
-    facets = [(tuple(q * h for h in row[:n]), row[n] * height) for row in hrep.facet_rows]
-    out = []
-    for y in itertools.product(*ranges):
-        ok = True
-        for row, const in span:
-            if sum(a * b for a, b in zip(row, y)) + const != 0:
-                ok = False
-                break
-        if not ok:
+    r = len(hrep.span_rows)
+    if r:
+        # Row HNF of A^T: h = u A^T, so A u^T = h^T and U = u^T.
+        h, u = hnf(IntMatrix.from_rows(list(zip(*(row[:n] for row in hrep.span_rows)))))
+        columns = u.entries
+        lower = tuple(tuple(h.entries[j][i] for j in range(i + 1)) for i in range(r))
+        inverse = invert_rational(columns)
+        # x = U^-1 v, and U^-1 is the transpose of u^-1.
+        free_coords = [
+            tuple(sum(inverse[j][c] * v[j] for j in range(n)) for c in range(r, n))
+            for v in p.vertices
+        ]
+    else:
+        columns = IntMatrix.identity(n).entries
+        lower = ()
+        free_coords = list(p.vertices)
+    facets = []
+    for row in hrep.facet_rows:
+        pulled = tuple(sum(a * b for a, b in zip(row, col)) for col in columns)
+        facets.append((pulled[:r], pulled[r:], row[n]))
+    k = n - r
+    lo = tuple(min(x[j] for x in free_coords) for j in range(k - 1))
+    hi = tuple(max(x[j] for x in free_coords) for j in range(k - 1))
+    return _SliceFrame(
+        lower, tuple(row[n] for row in hrep.span_rows), columns, tuple(facets), lo, hi
+    )
+
+
+@functools.lru_cache(maxsize=4096)
+def _lattice_points_in_scaled(p: RationalPolytope, lam: Fraction) -> tuple[Vector, ...]:
+    """Project and lift in the coordinates of ``_slice_frame``: the fixed
+    coordinates by exact division, the first k - 1 free ones over the vertex
+    bounds, the last one over the exact interval the facet rows leave."""
+    frame = _slice_frame(p)
+    q, num = lam.denominator, lam.numerator
+    # Forward substitution in L (q x) = -a0 * num; a remainder means the
+    # slice's affine hull holds no lattice point.
+    fixed: list[int] = []
+    for row, a0 in zip(frame.lower, frame.span_consts):
+        rest = -a0 * num - q * sum(a * b for a, b in zip(row, fixed))
+        pivot = q * row[len(fixed)]
+        if rest % pivot:
+            return ()
+        fixed.append(rest // pivot)
+    # Facet rows on the free coordinates z: g . z <= b, with b floored
+    # because g . z is an integer; ordered by the sign of their last
+    # coefficient, which bounds the last coordinate above or below or not.
+    upper, below, level = [], [], []
+    for f, g, h0 in frame.facets:
+        b = (-h0 * num) // q - sum(a * x for a, x in zip(f, fixed))
+        if g and g[-1] > 0:
+            upper.append((g, b))
+        elif g and g[-1] < 0:
+            below.append((g, b))
+        else:
+            level.append((g, b))
+    rows = upper + below + level
+    n_up, n_bounded = len(upper), len(upper) + len(below)
+    last = [abs(g[-1]) for g, _ in rows[:n_bounded]]
+    prefix_coeffs = list(zip(*(g[:-1] for g, _ in rows)))
+    ranges = [
+        range(math.ceil(lam * a), math.floor(lam * b) + 1) for a, b in zip(frame.lo, frame.hi)
+    ]
+    r = len(fixed)
+    out: list[Vector] = []
+    if r == p.dim:
+        # No free coordinate: the point fixed by the span rows, if it fits.
+        if all(b >= 0 for _, b in rows):
+            out.append(())
+        stack = []
+    else:
+        # Depth first over prefixes, in lex order; rems[i] is b_i minus
+        # the prefix's share of g_i . z.
+        stack = [((), [b for _, b in rows])]
+    while stack:
+        prefix, rems = stack.pop()
+        j = len(prefix)
+        if j < len(ranges):
+            stack.extend(
+                (prefix + (z,), [rem - a * z for rem, a in zip(rems, prefix_coeffs[j])])
+                for z in reversed(ranges[j])
+            )
             continue
-        for row, const in facets:
-            if sum(a * b for a, b in zip(row, y)) + const > 0:
-                ok = False
-                break
-        if ok:
-            out.append(y)
-    return tuple(out)
+        if any(rem < 0 for rem in rems[n_bounded:]):
+            continue
+        top = min(rem // c for rem, c in zip(rems[:n_up], last))
+        bot = -min(rem // c for rem, c in zip(rems[n_up:n_bounded], last[n_up:]))
+        out.extend(prefix + (z,) for z in range(bot, top + 1))
+    if not r:
+        # U is the identity and the loop order is already lex.
+        return tuple(out)
+    base = [sum(x * col[j] for x, col in zip(fixed, frame.columns)) for j in range(p.dim)]
+    free_rows = [tuple(col[j] for col in frame.columns[r:]) for j in range(p.dim)]
+    return tuple(
+        sorted(
+            tuple(c + sum(a * x for a, x in zip(row, z)) for c, row in zip(base, free_rows))
+            for z in out
+        )
+    )
 
 
 def lattice_points_in_dilate(p: RationalPolytope, k: int) -> list[Vector]:

@@ -44,18 +44,19 @@ def diamond(dim=2, axes=(0, 1)) -> RationalPolytope:
     return poly(dim, *pts)
 
 
-def oracle_count_dilate(p: RationalPolytope, k: int) -> int:
-    """Count lattice points of k*P by box scan + convex-combination membership."""
-    scaled = [tuple(k * x for x in v) for v in p.vertices]
+def oracle_lattice_points(p: RationalPolytope, factor) -> tuple:
+    """Integer points of factor*P, in lex order, by box scan +
+    convex-combination membership."""
+    scaled = [tuple(factor * x for x in v) for v in p.vertices]
     lo = [math.ceil(min(v[j] for v in scaled)) for j in range(p.dim)]
     hi = [math.floor(max(v[j] for v in scaled)) for j in range(p.dim)]
-    if k == 0:
-        return 1
-    count = 0
-    for pt in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if in_convex_hull(pt, scaled):
-            count += 1
-    return count
+    box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    return tuple(pt for pt in box if in_convex_hull(pt, scaled))
+
+
+def oracle_count_dilate(p: RationalPolytope, k: int) -> int:
+    """Count lattice points of k*P by box scan + convex-combination membership."""
+    return len(oracle_lattice_points(p, k))
 
 
 def oracle_lattice_members(basis: LatticeBasis, bound: int):

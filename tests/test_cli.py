@@ -266,3 +266,12 @@ def test_cli_corpus_malformed_config(tmp_path, config, extra):
     assert status == 2
     assert out == ""
     assert json.loads(err)["error"] == "input-error"
+
+
+def test_cli_rejects_boolean_dim(tmp_path):
+    path = tmp_path / "bool-dim.json"
+    path.write_text(json.dumps({"dim": True, "vertices": [["0"], ["1"]]}))
+    status, out, err = run_cli(["ehrhart", "--in", str(path)])
+    assert status == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "input-error"

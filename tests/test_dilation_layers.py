@@ -5,6 +5,10 @@ its least dilation.  The oracles below are the scans it replaced: a layer is
 the difference of the (t - i/d)- and (t - (i+1)/d)-dilates, and the cone
 shifted down by i/d holds the points of the (t + i/d)-dilate at height t.
 Segments and polygons containing the origin are drawn with d <= 12, H <= 4.
+
+The one-pass ``decompose_sigma`` is compared with the sum over the d layers
+of each layer's indicator series times that of the shifted cone, built from
+the two helpers, on polygons with d <= 60.
 """
 
 from __future__ import annotations
@@ -17,8 +21,11 @@ from hypothesis import strategies as st
 
 from freesum import (
     RationalPolytope,
+    TruncatedSeries,
+    decompose_sigma,
     dual_denominator,
     min_dilation,
+    series_mul,
     shifted_cone_lattice_points,
     shifted_envelope_lattice_points,
 )
@@ -111,3 +118,43 @@ def test_dilation_helpers_require_origin():
         min_dilation(p, (1, 0))
     with pytest.raises(InputError):
         min_dilation(segment(-1, 1), (0, 0))
+
+
+@st.composite
+def free_sums_at_origin(draw):
+    """(J, K): a polygon J in the plane z = 0 of R^3 containing the origin,
+    d(J) <= 60, and the segment K = [-s*u, t*u], u = (a, b, 1), whose
+    lattice is complementary to that of the plane."""
+    quarter = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    points = [(draw(quarter), draw(quarter), 0) for _ in range(draw(st.integers(3, 5)))]
+    j = RationalPolytope.from_points(3, points)
+    assume(j.contains((0, 0, 0)))
+    assume(dual_denominator(j) <= 60)
+    u = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)), 1)
+    s = draw(st.fractions(min_value=0, max_value=2, max_denominator=3))
+    t = draw(st.fractions(min_value=F(1, 3), max_value=2, max_denominator=3))
+    k = RationalPolytope.from_points(3, [tuple(-s * x for x in u), tuple(t * x for x in u)])
+    return j, k
+
+
+def layered_assembly(j: RationalPolytope, k: RationalPolytope, bound: int) -> TruncatedSeries:
+    """Sum over i < d(J) of the i-th envelope layer of cone(J) times cone(K)
+    shifted down by i/d(J), as indicator series."""
+    d = dual_denominator(j)
+    total = TruncatedSeries.zero(4, bound)
+    for i in range(d):
+        envelope = TruncatedSeries.indicator(4, bound, shifted_envelope_lattice_points(j, i, bound))
+        shifted = TruncatedSeries.indicator(4, bound, shifted_cone_lattice_points(k, i, d, bound))
+        total = total + series_mul(envelope, shifted)
+    return total
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(free_sums_at_origin(), st.integers(0, 4))
+def test_one_pass_decompose_matches_layer_sum(pair, bound):
+    j, k = pair
+    assert decompose_sigma(j, k, bound, verify=False) == layered_assembly(j, k, bound)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from freesum import RationalPolytope, halfspace_rep, polar_dual
 from freesum.errors import InputError
 from freesum.linalg import in_convex_hull, in_pos_hull
+from freesum.polytopes import _affine_data, _facet_scan
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
@@ -127,3 +128,15 @@ def test_polar_dual_matches_caratheodory_pruning(case):
             sum(a * b for a, b in zip(phi, coords)) <= 1 for phi in rep.one_facets
         ) and all(sum(a * b for a, b in zip(psi, coords)) <= 0 for psi in rep.zero_facets)
         assert inside == in_convex_hull(q, p.vertices)
+
+
+@kernel_settings
+@given(point_sets(), st.lists(small, min_size=3, max_size=3), small.filter(lambda f: f > 0))
+def test_translate_and_dilate_move_the_scan(case, shift, factor):
+    """The facet data ``translate`` and ``dilate`` derive from their source
+    equal a fresh scan of the moved vertices."""
+    dim, points = case
+    p = RationalPolytope.from_points(dim, points)
+    shift = shift[:dim]
+    for moved in (p.translate(shift), p.dilate(factor), p.dilate(factor).translate(shift)):
+        assert _affine_data(moved.vertices) == _facet_scan(moved.vertices)
