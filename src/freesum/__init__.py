@@ -13,7 +13,7 @@ from .freesums import (
     AFFINE_FREE_SUM, FREE_SUM, BraunVerdict, ConverseReport, DecompositionReport,
     EnvelopeCondition, FreeSumWitness, UnivariateBraunVerdict, check_braun_multivariate,
     check_braun_univariate, classify_sum, converse_search, decompose_sigma, decomposition_check,
-    envelope_condition_check, gorenstein_affine_check, hull_union, verify_cone_decomposition,
+    envelope_condition_check, gorenstein_affine_check, hull_union,
 )
 from .linalg import (
     IntMatrix, LatticeBasis, complementary_in, hnf, in_convex_hull, in_pos_hull,
@@ -45,7 +45,6 @@ __all__ = [
     "EnvelopeCondition", "FreeSumWitness", "UnivariateBraunVerdict", "check_braun_multivariate",
     "check_braun_univariate", "classify_sum", "converse_search", "decompose_sigma",
     "decomposition_check", "envelope_condition_check", "gorenstein_affine_check", "hull_union",
-    "verify_cone_decomposition",
     # linalg
     "IntMatrix", "LatticeBasis", "complementary_in", "hnf", "in_convex_hull", "in_pos_hull",
     "lattice_basis_of_span", "snf",

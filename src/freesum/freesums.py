@@ -4,7 +4,9 @@ Classification runs the lattice-complementarity criterion: the two summands
 must meet in a single rational point p, and the direction-space lattices of
 the recentered summands must be complementary inside the refined lattice
 generated by the standard basis and p.  The product-formula checks compare
-truncated generating functions coefficient by coefficient.
+truncated generating functions coefficient by coefficient.  For a free sum the
+split check is that comparison in ``decompose_sigma``; ``decomposition_check``
+is the per-point form, which also covers affine free sums.
 """
 
 from __future__ import annotations
@@ -295,10 +297,11 @@ def check_braun_univariate(
 
 
 def decompose_sigma(
-    p: RationalPolytope, k: RationalPolytope, height_bound: int, verify: bool = True
+    p: RationalPolytope, k: RationalPolytope, height_bound: int
 ) -> TruncatedSeries:
     """Assemble sigma of the hull cone from the shifted lower envelopes of
-    cone(P) and the copies of cone(K) shifted down, in one pass.
+    cone(P) and the copies of cone(K) shifted down, in one pass, and check it
+    against direct enumeration of the hull cone.
 
     With d the dual denominator of P, an integer point y of H*P lies on
     exactly one envelope layer: at height t = ceil(lambda(y)), shifted by
@@ -308,9 +311,13 @@ def decompose_sigma(
     the pair (y, w) adds one to every term (y + w, T) with
     ceil(lambda(y) + lambda_K(w)) <= T <= H, and lambda_K(w) <= H.
 
-    With ``verify`` the result is compared against direct enumeration of the
-    hull cone and a mismatch raises, since equality is unconditional for
-    free sums.
+    The check is the split check.  Classification makes span(P) and span(K)
+    independent, so a hull point (z, T) has at most one real split z = y + w,
+    and (y, w) is counted there iff it is integral and lambda(y) +
+    lambda_K(w) <= T: ``decomposition_check``'s pass condition at p = 0.
+    Each counted pair lies in cone(P) + cone(K), inside the hull cone.  So the
+    counts equal the enumeration iff no hull point lacks its split or has
+    two; a mismatch raises, since equality holds for every free sum.
     """
     witness = classify_sum(p, k)
     if witness.kind != FREE_SUM:
@@ -336,10 +343,13 @@ def decompose_sigma(
                 key = base + (t,)
                 terms[key] = terms.get(key, 0) + 1
     total = TruncatedSeries(p.dim + 1, height_bound, terms)
-    if verify:
-        direct = sigma_cone(cone_over(hull_union(p, k)), height_bound)
-        if total != direct:
-            raise InternalCheckError("shifted-envelope decomposition disagrees with enumeration")
+    direct = sigma_cone(cone_over(hull_union(p, k)), height_bound)
+    if total != direct:
+        exp, splits, expected = total.first_difference(direct)
+        raise InternalCheckError(
+            f"shifted-envelope decomposition disagrees with enumeration at {exp}: "
+            f"{splits} splits, direct coefficient {expected}"
+        )
     return total
 
 
@@ -461,8 +471,3 @@ def decomposition_check(
             if lam_j is None or lam_k is None or lam_j + lam_k > den * r * t:
                 violations.append((z, 0))
     return DecompositionReport(checked, tuple(violations))
-
-
-def verify_cone_decomposition(witness: FreeSumWitness, height_bound: int) -> DecompositionReport:
-    """Run the split check for a classified free or affine free sum."""
-    return decomposition_check(witness.j, witness.k, witness.intersection_point, height_bound)

@@ -76,9 +76,6 @@ class IntMatrix:
         )
         return IntMatrix(self.rows, other.cols, prod)
 
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else ())
-
     def det(self) -> int:
         if self.rows != self.cols:
             raise InputError("determinant of a non-square matrix")

@@ -73,9 +73,6 @@ class TruncatedSeries:
     def has_negative_coefficient(self) -> bool:
         return any(c < 0 for c in self.terms.values())
 
-    def support(self) -> list[Exponent]:
-        return sorted(self.terms)
-
     def _check_compatible(self, other: TruncatedSeries) -> None:
         if self.num_vars != other.num_vars:
             raise InputError("series variable counts differ")

@@ -11,6 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import freesum.freesums
 from freesum import RationalPolytope
 from freesum.linalg import LatticeBasis, in_convex_hull, qvec
 
@@ -42,6 +43,31 @@ def diamond(dim=2, axes=(0, 1)) -> RationalPolytope:
             v[axis] = sign
             pts.append(tuple(v))
     return poly(dim, *pts)
+
+
+# Faults in the tagged points of K = [-e2, e2] at height 1, as the one-pass
+# decomposition reads them: the change to the list, the hull point whose split
+# it breaks, and the number of splits counted there.
+SPLIT_FAULTS = {
+    "missing": (lambda pts: tuple(pt for pt in pts if pt[0] != (0, -1)), (0, -1, 1), 0),
+    "double": (lambda pts: pts + tuple(pt for pt in pts if pt[0] == (0, 1)), (0, 1, 1), 2),
+}
+
+
+def break_split(monkeypatch, fault):
+    """Free sum J = [-e1, e1], K = [-e2, e2] in R^2 whose K points, as
+    ``decompose_sigma`` reads them, carry the named fault.  Returns J, K, the
+    broken hull point and its split count."""
+    change, point, splits = SPLIT_FAULTS[fault]
+    j, k = axis_seg(2, 0, -1, 1), axis_seg(2, 1, -1, 1)
+    real = freesum.freesums.lattice_points_with_dilation
+
+    def faulty(p, bound):
+        points = real(p, bound)
+        return change(points) if p == k else points
+
+    monkeypatch.setattr(freesum.freesums, "lattice_points_with_dilation", faulty)
+    return j, k, point, splits
 
 
 def oracle_lattice_points(p: RationalPolytope, factor) -> tuple:

@@ -36,7 +36,6 @@ from freesum import (
     sigma_cone,
     specialize_to_univariate,
     geometric_series,
-    verify_cone_decomposition,
 )
 from freesum.corpus import standard_corpus
 from freesum.errors import ClassificationError
@@ -158,7 +157,7 @@ def test_criterion_4_decomposition_oracle_equivalence():
     assert len(pairs) >= 12
     denominators = set()
     for name, a, b, _ in pairs:
-        total = decompose_sigma(a, b, 10, verify=False)
+        total = decompose_sigma(a, b, 10)
         direct = sigma_cone(cone_over(hull_union(a, b)), 10)
         assert total == direct, f"decomposition mismatch for {name}"
         denominators.add(dual_denominator(a))
@@ -394,7 +393,7 @@ def test_criterion_8_property_suites():
         cross_checked += 1
     seen_failures = 0
     for j, k, witness in corpus_pairs + random_pairs:
-        report = verify_cone_decomposition(witness, bound)
+        report = decomposition_check(witness.j, witness.k, witness.intersection_point, bound)
         assert report.ok, f"split violation: {report.violations[:3]}"
         verdict = check_braun_multivariate(witness, bound)
         assert not verdict.residual.has_negative_coefficient()

@@ -14,7 +14,7 @@ from freesum.corpus import corpus_run, standard_config
 from freesum.errors import InputError
 from freesum.jsonio import format_polytope, parse_polytope, parse_rational
 
-from conftest import F, diamond, poly, segment
+from conftest import SPLIT_FAULTS, F, break_split, diamond, poly, segment
 
 
 def write_polytope(tmp_path, name, p):
@@ -186,6 +186,25 @@ def test_cli_check_decompose_skew_summand(tmp_path):
     assert run_cli(argv) == first
 
 
+@pytest.mark.parametrize("fault", sorted(SPLIT_FAULTS))
+def test_broken_split_fails_check_and_corpus(tmp_path, monkeypatch, fault):
+    j, k, point, splits = break_split(monkeypatch, fault)
+    detail = f"at {point}: {splits} splits, direct coefficient 1"
+    a = write_polytope(tmp_path, "a.json", j)
+    b = write_polytope(tmp_path, "b.json", k)
+    argv = ["check", "--a", a, "--b", b, "--mode", "decompose", "--height", "1"]
+    status, out, err = run_cli(argv)
+    assert (status, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "internal-check" and detail in error["detail"]
+    pair = {"name": "broken", "a": format_polytope(j), "b": format_polytope(k)}
+    report, status = corpus_run({"height": 1, "pairs": [{**pair, "modes": ["decompose"]}]})
+    assert status == 1
+    assert report["pairs"][0]["classification"] == "inconsistent"
+    assert [f["name"] for f in report["consistency_failures"]] == ["broken"]
+    assert detail in report["consistency_failures"][0]["reason"]
+
+
 def test_cli_check_point_mismatch(tmp_path):
     ga = write_polytope(tmp_path, "ga.json", poly(2, (0, 0), (1, 0)))
     gb = write_polytope(tmp_path, "gb.json", poly(2, (F(1, 2), -1), (F(1, 2), 1)))
@@ -194,6 +213,13 @@ def test_cli_check_point_mismatch(tmp_path):
     )
     assert status == 2
     assert json.loads(err)["error"] == "intersection-point-mismatch"
+    # A malformed --p is an input error whether or not the pair classifies.
+    ra = write_polytope(tmp_path, "ra.json", poly(2, (-1, 0), (1, 0)))
+    rb = write_polytope(tmp_path, "rb.json", poly(2, (-1, -2), (1, 2)))
+    for a, b in ((ga, gb), (ra, rb)):
+        status, out, err = run_cli(["check", "--a", a, "--b", b, "--p", "x,y"])
+        assert (status, out) == (2, "")
+        assert json.loads(err)["error"] == "bad-point-flag"
 
 
 def test_cli_output_byte_stable(tmp_path):

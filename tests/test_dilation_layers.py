@@ -157,4 +157,4 @@ def layered_assembly(j: RationalPolytope, k: RationalPolytope, bound: int) -> Tr
 @given(free_sums_at_origin(), st.integers(0, 4))
 def test_one_pass_decompose_matches_layer_sum(pair, bound):
     j, k = pair
-    assert decompose_sigma(j, k, bound, verify=False) == layered_assembly(j, k, bound)
+    assert decompose_sigma(j, k, bound) == layered_assembly(j, k, bound)

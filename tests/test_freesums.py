@@ -25,13 +25,12 @@ from freesum import (
     lattice_basis_of_span,
     sigma_cone,
     specialize_to_univariate,
-    verify_cone_decomposition,
 )
-from freesum.errors import ClassificationError, PreconditionError
+from freesum.errors import ClassificationError, InternalCheckError, PreconditionError
 from freesum.linalg import in_pos_hull, qvec, rational_rank
 from freesum.series import series_mul
 
-from conftest import F, axis_seg, diamond, poly, segment
+from conftest import SPLIT_FAULTS, F, axis_seg, break_split, diamond, poly, segment
 
 
 def cross_summands():
@@ -351,20 +350,22 @@ def test_braun_specialization_commutes():
 
 def test_decomposition_check_octahedron():
     w = classify_sum(diamond(3, (0, 1)), axis_seg(3, 2, -1, 1))
-    report = verify_cone_decomposition(w, 6)
+    report = decomposition_check(w.j, w.k, w.intersection_point, 6)
     assert report.ok
     assert report.points_checked > 100
 
 
 def test_decomposition_check_affine_cross():
     j, k = cross_summands()
-    report = verify_cone_decomposition(classify_sum(j, k), 6)
+    w = classify_sum(j, k)
+    report = decomposition_check(w.j, w.k, w.intersection_point, 6)
     assert report.ok
 
 
 def test_decomposition_check_point_summands():
     origin = poly(2, (0, 0))
-    report = verify_cone_decomposition(classify_sum(origin, origin), 5)
+    w = classify_sum(origin, origin)
+    report = decomposition_check(w.j, w.k, w.intersection_point, 5)
     assert report.ok
     assert report.points_checked == 6
 
@@ -376,6 +377,14 @@ def test_decomposition_check_forced_counterexample():
     assert ((1, 1, 1), 0) in report.violations
     cone_hull = cone_over(hull_union(j, k))
     assert cone_hull.contains((1, 1, 1))
+
+
+@pytest.mark.parametrize("fault", sorted(SPLIT_FAULTS))
+def test_decompose_sigma_names_broken_split(monkeypatch, fault):
+    j, k, point, splits = break_split(monkeypatch, fault)
+    with pytest.raises(InternalCheckError) as err:
+        decompose_sigma(j, k, 1)
+    assert f"at {point}: {splits} splits, direct coefficient 1" in str(err.value)
 
 
 def test_decomposition_check_requires_point_in_both_summands():
@@ -426,12 +435,22 @@ def split_cases(draw):
 @example((axis_seg(2, 0, 0, F(2, 3)), axis_seg(2, 1, -1, 1), (F(0), F(0))), 5)
 @example((poly(2, (0, 0), (1, 0)), poly(2, (F(1, 3), -1), (F(1, 3), 1)), (F(1, 3), F(0))), 5)
 @example((poly(2, (-1, 0), (1, 0)), poly(2, (-1, -2), (1, 2)), (F(0), F(0))), 3)
+@example(
+    (
+        poly(3, (-1, -1, 0), (F(3, 2), 0, 0), (0, F(4, 3), 0)),
+        poly(3, (-1, 1, -1), (2, -2, 2)),
+        (F(0), F(0), F(0)),
+    ),
+    2,
+)
 def test_decomposition_check_matches_bruteforce(case, bound):
     """Candidate-splitting route against literal envelope enumeration.
 
     The brute-force side projects every lattice point of cone(J) (heights up
     to T + r - 1), deduplicates, and counts translates containing each hull
-    point via the generator representation of cone(K).
+    point via the generator representation of cone(K).  For a free sum at the
+    origin the one-pass ``decompose_sigma`` counts the same splits, and none
+    off the hull cone.
     """
     from freesum.cones import epsilon_project
 
@@ -445,7 +464,15 @@ def test_decomposition_check_matches_bruteforce(case, bound):
             candidates.add(epsilon_project(cone_j, pt, p))
     gens_k = tuple(embed_at_height_one(v) for v in k.vertices)
     report = decomposition_check(j, k, p, bound)
+    decomposed = None
+    if not any(p):
+        try:
+            if classify_sum(j, k).kind == FREE_SUM:
+                decomposed = decompose_sigma(j, k, bound)
+        except ClassificationError:
+            pass
     expected_violations = []
+    counts = {}
     checked = 0
     for t in range(bound + 1):
         for z in hull_cone.lattice_points_at_height(t):
@@ -458,7 +485,11 @@ def test_decomposition_check_matches_bruteforce(case, bound):
             )
             if count != 1:
                 expected_violations.append((z, count))
+            if count:
+                counts[tuple(z)] = count
     assert report.points_checked == checked
+    if decomposed is not None:
+        assert dict(decomposed.terms) == counts
     assert sorted(v[0] for v in report.violations) == sorted(
         v[0] for v in expected_violations
     )
