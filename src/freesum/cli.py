@@ -128,9 +128,10 @@ def _run_ehrhart(args):
 
 def _run_delta(args):
     p = load_polytope(args.infile)
-    bound = args.height
-    if bound is None:
+    if args.height is None:
         bound = denominator(p) * (p.affine_dim + 2)
+    else:
+        bound = _height(args)
     delta = delta_polynomial(p, bound)
     return (
         {

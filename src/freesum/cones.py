@@ -77,7 +77,7 @@ class ConeOverPolytope:
         return [y + (int(height),) for y in lattice_points_in_scaled(self.base, height)]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def cone_over(p: RationalPolytope) -> ConeOverPolytope:
     """The cone over P with its integer halfspace description."""
     return ConeOverPolytope(p, cone_hrep(p))

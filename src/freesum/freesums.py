@@ -4,9 +4,12 @@ Classification runs the lattice-complementarity criterion: the two summands
 must meet in a single rational point p, and the direction-space lattices of
 the recentered summands must be complementary inside the refined lattice
 generated by the standard basis and p.  The product-formula checks compare
-truncated generating functions coefficient by coefficient.  For a free sum the
-split check is that comparison in ``decompose_sigma``; ``decomposition_check``
-is the per-point form, which also covers affine free sums.
+truncated generating functions coefficient by coefficient.  For a free sum
+both sides are read off one table of the tagged lattice points of H*J and
+H*K: ``check_braun_multivariate`` reads the residual off it, and the split
+check is ``decompose_sigma``'s comparison of it with direct enumeration;
+``decomposition_check`` is the per-point form, which also covers affine free
+sums.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .errors import (
 from .linalg import (
     LatticeBasis,
     QVector,
+    Vector,
     canonical_basis,
     complementary_in,
     invert_rational,
@@ -132,7 +136,7 @@ class UnivariateBraunVerdict:
     delta_rhs: tuple[Fraction, ...] | None
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def hull_union(j: RationalPolytope, k: RationalPolytope) -> RationalPolytope:
     """Convex hull of the union, with redundant generators pruned."""
     if j.dim != k.dim:
@@ -221,12 +225,72 @@ def envelope_condition_check(j: RationalPolytope, p, height_bound: int) -> Envel
     return EnvelopeCondition(True, None)
 
 
+def _pair_table(
+    j: RationalPolytope, k: RationalPolytope, height_bound: int
+) -> tuple[int, list[tuple[Vector, int]], list[tuple[int, Vector]]]:
+    """The integer points of H*J and H*K tagged with their least dilations,
+    as integers over one common denominator den: (den, [(y, a)], [(b, w)]),
+    J in lex order and K sorted by b, so a loop over K for one y can stop at
+    the first w that no height reaches.  Requires the origin in J and K."""
+    points_j = lattice_points_with_dilation(j, height_bound)
+    points_k = lattice_points_with_dilation(k, height_bound)
+    den = math.lcm(*(lam.denominator for _, lam in points_j + points_k))
+    scaled_j = [(y, lam.numerator * (den // lam.denominator)) for y, lam in points_j]
+    scaled_k = sorted((lam.numerator * (den // lam.denominator), w) for w, lam in points_k)
+    return den, scaled_j, scaled_k
+
+
 @functools.lru_cache(maxsize=512)
 def check_braun_multivariate(witness: FreeSumWitness, height_bound: int) -> BraunVerdict:
     """Compare sigma of the hull cone with the one-minus-monomial product.
 
+    For a free sum both sides are read off the pair table of
+    ``_pair_table``.  Classification makes span(J) and span(K) independent,
+    with complementary lattices, so every lattice point (z, T) that either
+    side counts splits uniquely as z = y + w with y and w integer points of
+    the two spans.  Let low = ceil(lambda_J(y) + lambda_K(w)) and high =
+    ceil(lambda_J(y)) + ceil(lambda_K(w)), lambda the least dilations.
+    - The hull cone holds (z, T) iff lambda_J(y) + lambda_K(w) <= T, that is
+      iff low <= T (the argument of ``decompose_sigma``, which checks it
+      against direct enumeration).
+    - sigma_J * sigma_K has coefficient #{(s, t): s >= ceil(lambda_J(y)),
+      t >= ceil(lambda_K(w)), s + t = T} there, since y lies in s*J iff
+      s >= lambda_J(y); times (1 - z_{n+1}) that is [high <= T].
+    - low <= high, so the residual at (z, T) is [low <= T < high], 0 or 1.
+      The counterexample, the lex-smallest exponent where the sides differ,
+      is (y + w, low) for the lex-smallest y + w with low < high and low <= H,
+      where the hull has 1 and the product 0.
+    A pair with low <= H has both least dilations at most H, so the points
+    of H*J and H*K hold every pair that counts.
+
+    Affine free sums (p != 0) are the one remaining branch: they enumerate
+    the hull cone and multiply sigma_J * sigma_K by (1 - z^(r*alpha(p)))
+    with ``series_mul`` until an affine table matches that path.
+
     Cached, like ``sigma_cone``: the verdict is frozen and its residual is a
     read-only series, so callers share no mutable state."""
+    if witness.kind == FREE_SUM:
+        if height_bound < 0:
+            raise InputError("height bound must be nonnegative")
+        den, scaled_j, scaled_k = _pair_table(witness.j, witness.k, height_bound)
+        terms: dict[tuple[int, ...], int] = {}
+        for y, a in scaled_j:
+            ceil_a = -(-a // den)
+            for b, w in scaled_k:
+                low = -((-a - b) // den)
+                if low > height_bound:
+                    break
+                high = min(ceil_a - (-b // den), height_bound + 1)
+                if low < high:
+                    base = tuple(u + v for u, v in zip(y, w))
+                    for t in range(low, high):
+                        key = base + (t,)
+                        terms[key] = terms.get(key, 0) + 1
+        residual = TruncatedSeries(witness.j.dim + 1, height_bound, terms)
+        counterexample = (min(terms), 1, 0) if terms else None
+        return BraunVerdict(
+            not terms, height_bound, witness.factor_exponent, counterexample, residual
+        )
     hull = hull_union(witness.j, witness.k)
     lhs = sigma_cone(cone_over(hull), height_bound)
     product = series_mul(
@@ -325,15 +389,9 @@ def decompose_sigma(
             "the shifted-envelope decomposition applies to free sums at the origin",
             "not-a-free-sum-at-origin",
         )
-    points_p = lattice_points_with_dilation(p, height_bound)
-    points_k = lattice_points_with_dilation(k, height_bound)
-    # Least dilations as integers over one common denominator; K sorted by
-    # them, so each y stops at the first w that no height reaches.
-    den = math.lcm(*(lam.denominator for _, lam in points_p + points_k))
-    scaled_k = sorted((lam.numerator * (den // lam.denominator), w) for w, lam in points_k)
+    den, scaled_p, scaled_k = _pair_table(p, k, height_bound)
     terms: dict[tuple[int, ...], int] = {}
-    for y, lam in points_p:
-        a = lam.numerator * (den // lam.denominator)
+    for y, a in scaled_p:
         for b, w in scaled_k:
             low = -((-a - b) // den)
             if low > height_bound:

@@ -238,7 +238,7 @@ def direction_basis(p: RationalPolytope) -> tuple[QVector, ...]:
     return _affine_data(p.vertices)[1]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def cone_hrep(p: RationalPolytope) -> ConeHRep:
     """Integer halfspace description of the cone over P at height one."""
     n = p.dim
@@ -296,7 +296,7 @@ class _SliceFrame:
     hi: tuple[Fraction, ...]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def _slice_frame(p: RationalPolytope) -> _SliceFrame:
     hrep = cone_hrep(p)
     n = p.dim
@@ -420,7 +420,7 @@ def _require_origin(p: RationalPolytope) -> None:
         raise PreconditionError("the origin must lie in the polytope", "origin-not-in-polytope")
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def halfspace_rep(p: RationalPolytope) -> HalfspaceRep:
     """Facet functionals of P relative to lin(P); requires the origin in P.
 
@@ -444,7 +444,7 @@ def halfspace_rep(p: RationalPolytope) -> HalfspaceRep:
     return HalfspaceRep(span_basis, tuple(sorted(one)), tuple(sorted(zero)))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def polar_dual(p: RationalPolytope) -> DualPolyhedron:
     """Polar dual of P relative to lin(P), as vertices plus recession rays."""
     rep = halfspace_rep(p)

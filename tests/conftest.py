@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import freesum.freesums
 from freesum import RationalPolytope
-from freesum.linalg import LatticeBasis, in_convex_hull, qvec
+from freesum.linalg import LatticeBasis, in_convex_hull, invert_rational, qvec, rational_rank
 
 
 def F(a, b=1):
@@ -78,6 +78,41 @@ def oracle_lattice_points(p: RationalPolytope, factor) -> tuple:
     hi = [math.floor(max(v[j] for v in scaled)) for j in range(p.dim)]
     box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
     return tuple(pt for pt in box if in_convex_hull(pt, scaled))
+
+
+def pos_hull_membership(generators):
+    """Membership test for the cone of nonnegative combinations of the
+    generators, the same conic Caratheodory decision as ``in_pos_hull`` with
+    the per-cone work done once: the span rank d, and for each independent
+    d-subset the inverse of d independent rows of its columns.  A point is in
+    the cone iff some subset's coefficients are nonnegative and reproduce it
+    (a point off the span is reproduced by none)."""
+    gens = [g for g in map(qvec, generators) if any(g)]
+    d = rational_rank(gens)
+    solvers = []
+    for subset in itertools.combinations(gens, d) if gens else ():
+        if rational_rank(subset) != d:
+            continue
+        cols = [[g[i] for g in subset] for i in range(len(subset[0]))]
+        rows: list[int] = []
+        for i in range(len(cols)):
+            if rational_rank([cols[r] for r in rows + [i]]) > len(rows):
+                rows.append(i)
+        solvers.append((subset, rows, invert_rational([cols[r] for r in rows])))
+
+    def member(point) -> bool:
+        point = qvec(point)
+        if not any(point):
+            return True
+        for subset, rows, inverse in solvers:
+            coeffs = [sum(a * point[r] for a, r in zip(row, rows)) for row in inverse]
+            if any(c < 0 for c in coeffs):
+                continue
+            if all(sum(c * g[i] for c, g in zip(coeffs, subset)) == x for i, x in enumerate(point)):
+                return True
+        return False
+
+    return member
 
 
 def oracle_count_dilate(p: RationalPolytope, k: int) -> int:

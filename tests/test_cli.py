@@ -62,6 +62,15 @@ def test_cli_delta_diamond(tmp_path):
     assert report == {"delta": ["1", "2", "1"], "den": 1, "dim": 2}
 
 
+@pytest.mark.parametrize("verb", ["ehrhart", "delta", "sigma", "envelope", "check"])
+def test_cli_rejects_negative_height(tmp_path, verb):
+    path = write_polytope(tmp_path, "diamond.json", diamond())
+    inputs = ["--a", path, "--b", path] if verb == "check" else ["--in", path]
+    status, out, err = run_cli([verb, *inputs, "--height", "-1"])
+    assert (status, out) == (2, "")
+    assert json.loads(err)["error"] == "bad-height"
+
+
 def test_cli_dual_interval(tmp_path):
     path = write_polytope(tmp_path, "wide.json", segment(-2, 3))
     status, out, _ = run_cli(["dual", "--in", path])

@@ -10,6 +10,7 @@ from freesum import (
     AFFINE_FREE_SUM,
     FREE_SUM,
     RationalPolytope,
+    apply_one_minus_monomial,
     check_braun_multivariate,
     check_braun_univariate,
     classify_sum,
@@ -26,11 +27,21 @@ from freesum import (
     sigma_cone,
     specialize_to_univariate,
 )
+from freesum.corpus import standard_corpus
 from freesum.errors import ClassificationError, InternalCheckError, PreconditionError
-from freesum.linalg import in_pos_hull, qvec, rational_rank
+from freesum.linalg import qvec, rational_rank
 from freesum.series import series_mul
 
-from conftest import SPLIT_FAULTS, F, axis_seg, break_split, diamond, poly, segment
+from conftest import (
+    SPLIT_FAULTS,
+    F,
+    axis_seg,
+    break_split,
+    diamond,
+    poly,
+    pos_hull_membership,
+    segment,
+)
 
 
 def cross_summands():
@@ -169,6 +180,80 @@ def test_braun_fails_for_twothirds_pair():
     by_height = specialize_to_univariate(verdict.residual)
     assert by_height.coefficients[3] == 1
     assert by_height.coefficients[:3] == (0, 0, 0)
+
+
+def braun_by_series(witness, bound):
+    """Braun verdict assembled from series, never from the pair table: sigma
+    of the hull cone by direct enumeration minus (1 - z^(r*alpha(p))) times
+    sigma_J * sigma_K.  Returns (holds, counterexample, residual)."""
+    lhs = sigma_cone(cone_over(hull_union(witness.j, witness.k)), bound)
+    sigma_j, sigma_k = (sigma_cone(cone_over(p), bound) for p in (witness.j, witness.k))
+    product = series_mul(sigma_j, sigma_k)
+    rhs = apply_one_minus_monomial(product, witness.factor_exponent)
+    return lhs == rhs, lhs.first_difference(rhs), lhs - rhs
+
+
+def assert_braun_matches_series(witness, bound):
+    verdict = check_braun_multivariate(witness, bound)
+    holds, counterexample, residual = braun_by_series(witness, bound)
+    assert verdict.holds_up_to_bound == holds
+    assert verdict.counterexample == counterexample
+    assert verdict.residual == residual
+
+
+FREE_CORPUS = [
+    pair
+    for pair in standard_corpus()
+    if pair.modes and not any(classify_sum(pair.a, pair.b).intersection_point)
+]
+
+
+@pytest.mark.parametrize("pair", FREE_CORPUS, ids=lambda pair: pair.name)
+def test_braun_table_matches_series_on_corpus(pair):
+    witness = classify_sum(pair.a, pair.b)
+    for bound in range(11):
+        assert_braun_matches_series(witness, bound)
+
+
+@st.composite
+def free_sums(draw):
+    """A free sum at the origin in R^2 or R^3: J in the span of the first m
+    coordinate axes and K in the span of the others, each the hull of the
+    origin and rational points (denominators up to 3), both mapped by one
+    unimodular shear so the spans are no longer coordinate subspaces."""
+    n = draw(st.sampled_from((2, 3)))
+    m = draw(st.integers(1, n - 1))
+    coord = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+    def summand(axes):
+        pts = [(0,) * n]
+        for _ in range(draw(st.integers(1, 3))):
+            values = iter([draw(coord) for _ in axes])
+            pts.append(tuple(next(values) if i in axes else 0 for i in range(n)))
+        return pts
+
+    shear = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            shear[i][j] = draw(st.integers(-1, 1))
+    if draw(st.booleans()):
+        shear.reverse()
+
+    def image(pts):
+        return poly(n, *(tuple(sum(a * x for a, x in zip(row, v)) for row in shear) for v in pts))
+
+    return image(summand(range(m))), image(summand(range(m, n)))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(free_sums(), st.integers(0, 6))
+@example((axis_seg(2, 0, 0, F(2, 3)), axis_seg(2, 1, 0, F(2, 3))), 6)
+@example((axis_seg(3, 0, F(-1, 3), F(3, 2)), poly(3, (0, 0, 0), (0, F(2, 3), F(1, 2)))), 5)
+def test_braun_table_matches_series_on_free_sums(pair, bound):
+    j, k = pair
+    witness = classify_sum(j, k)
+    assert witness.kind == FREE_SUM
+    assert_braun_matches_series(witness, bound)
 
 
 def test_braun_univariate_octahedron():
@@ -462,7 +547,7 @@ def test_decomposition_check_matches_bruteforce(case, bound):
     for t in range(bound + r):
         for pt in cone_j.lattice_points_at_height(t):
             candidates.add(epsilon_project(cone_j, pt, p))
-    gens_k = tuple(embed_at_height_one(v) for v in k.vertices)
+    in_cone_k = pos_hull_membership(embed_at_height_one(v) for v in k.vertices)
     report = decomposition_check(j, k, p, bound)
     decomposed = None
     if not any(p):
@@ -478,10 +563,12 @@ def test_decomposition_check_matches_bruteforce(case, bound):
         for z in hull_cone.lattice_points_at_height(t):
             checked += 1
             zq = qvec(z)
+            # cone(K) has no point of negative height, so a candidate above z
+            # is never counted.
             count = sum(
                 1
                 for x in candidates
-                if in_pos_hull(tuple(a - b for a, b in zip(zq, x)), gens_k)
+                if x[-1] <= t and in_cone_k(tuple(a - b for a, b in zip(zq, x)))
             )
             if count != 1:
                 expected_violations.append((z, count))

@@ -19,7 +19,7 @@ from freesum.linalg import (
     snf,
 )
 
-from conftest import F, oracle_complementary
+from conftest import F, oracle_complementary, pos_hull_membership
 
 
 def test_hnf_identity():
@@ -196,6 +196,26 @@ def test_pos_hull_membership():
     assert in_pos_hull((-1, 0), [(1, 0), (1, 1)]) is False
     assert in_pos_hull((0, 0), []) is True
     assert in_pos_hull((F(1, 3), F(1, 3)), [(1, 1)]) is True
+
+
+def test_pos_hull_oracle_matches_in_pos_hull():
+    """The brute-force tests' per-cone membership oracle decides as
+    ``in_pos_hull`` does, on spans of every rank and with parallel
+    generators."""
+    rng = random.Random(11)
+    coord = lambda: F(rng.randint(-3, 3), rng.randint(1, 2))
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        gens = [tuple(coord() for _ in range(n)) for _ in range(rng.randint(0, 4))]
+        if gens and rng.random() < 0.3:
+            gens.append(tuple(2 * x for x in gens[0]))
+        member = pos_hull_membership(gens)
+        for _ in range(10):
+            point = tuple(coord() for _ in range(n))
+            if gens and rng.random() < 0.5:
+                weights = [F(rng.randint(-1, 3)) for _ in gens]
+                point = tuple(sum(w * g[i] for w, g in zip(weights, gens)) for i in range(n))
+            assert member(point) == in_pos_hull(point, gens)
 
 
 def test_convex_hull_membership():
