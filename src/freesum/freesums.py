@@ -244,12 +244,13 @@ def _pair_table(
 def check_braun_multivariate(witness: FreeSumWitness, height_bound: int) -> BraunVerdict:
     """Compare sigma of the hull cone with the one-minus-monomial product.
 
-    For a free sum both sides are read off the pair table of
-    ``_pair_table``.  Classification makes span(J) and span(K) independent,
-    with complementary lattices, so every lattice point (z, T) that either
-    side counts splits uniquely as z = y + w with y and w integer points of
-    the two spans.  Let low = ceil(lambda_J(y) + lambda_K(w)) and high =
-    ceil(lambda_J(y)) + ceil(lambda_K(w)), lambda the least dilations.
+    For a free sum both sides are read off the pairs of tagged points that
+    ``_pair_table`` prepares.  Classification makes span(J) and span(K)
+    independent, with complementary lattices, so every lattice point (z, T)
+    that either side counts splits uniquely as z = y + w with y and w
+    integer points of the two spans.  Let low = ceil(lambda_J(y) +
+    lambda_K(w)) and high = ceil(lambda_J(y)) + ceil(lambda_K(w)), lambda
+    the least dilations.
     - The hull cone holds (z, T) iff lambda_J(y) + lambda_K(w) <= T, that is
       iff low <= T (the argument of ``decompose_sigma``, which checks it
       against direct enumeration).

@@ -299,8 +299,6 @@ def test_decompose_sigma_single_layer_is_braun_product():
     total = decompose_sigma(p, k, 6)
     w = classify_sum(p, k)
     product = series_mul(sigma_cone(cone_over(p), 6), sigma_cone(cone_over(k), 6))
-    from freesum import apply_one_minus_monomial
-
     assert total == apply_one_minus_monomial(product, w.factor_exponent)
 
 
@@ -419,8 +417,6 @@ def test_braun_specialization_commutes():
         hull = hull_union(a, b)
         lhs = sigma_cone(cone_over(hull), bound)
         assert specialize_to_univariate(lhs).coefficients == ehrhart_series(hull, bound).coefficients
-        from freesum import apply_one_minus_monomial
-
         product = series_mul(sigma_cone(cone_over(a), bound), sigma_cone(cone_over(b), bound))
         rhs = apply_one_minus_monomial(product, w.factor_exponent)
         ea = ehrhart_series(a, bound).coefficients
