@@ -13,7 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .corpus import corpus_run
+from .corpus import MODES, corpus_run
 from .errors import ClassificationError, FreesumError, InternalCheckError
 from .freesums import (
     check_braun_multivariate,
@@ -100,9 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="classify a pair and verify a product formula")
     p_check.add_argument("--a", required=True)
     p_check.add_argument("--b", required=True)
-    p_check.add_argument(
-        "--mode", choices=("braun", "decompose", "converse", "affine"), default="braun"
-    )
+    p_check.add_argument("--mode", choices=MODES, default="braun")
     p_check.add_argument("--p", dest="point", default=None, help="expected intersection point")
     add_height(p_check)
 

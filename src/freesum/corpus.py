@@ -1,14 +1,13 @@
-"""Bundled corpus of summand pairs and the batch verification runner.
+"""Batch verification runner for a corpus of summand pairs.
 
-The standard corpus covers dual denominators 1, 2, 3 and 6 for the first
-summand, ambient dimensions up to three, affine pairs meeting at non-lattice
-points, and one deliberately rejected pair.
+The pair list lives in ``corpus/standard.json``: it covers dual denominators
+1, 2, 3 and 6 for the first summand, ambient dimensions up to three, affine
+pairs meeting at non-lattice points, and one deliberately rejected pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ClassificationError, FreesumError, InputError, InternalCheckError
 from .freesums import (
@@ -19,7 +18,7 @@ from .freesums import (
     decompose_sigma,
     envelope_condition_check,
 )
-from .jsonio import format_point, format_polytope, parse_polytope
+from .jsonio import format_point, parse_polytope
 from .polytopes import RationalPolytope, dual_denominator
 
 
@@ -31,172 +30,8 @@ class CorpusPair:
     modes: tuple[str, ...]
 
 
-def axis_segment(dim: int, axis: int, lo, hi) -> RationalPolytope:
-    """Segment [lo, hi] along a coordinate axis of R^dim."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    a = tuple(lo if i == axis else Fraction(0) for i in range(dim))
-    b = tuple(hi if i == axis else Fraction(0) for i in range(dim))
-    return RationalPolytope.from_points(dim, [a, b])
-
-
-def embed_in(dim: int, axes: tuple[int, ...], points) -> RationalPolytope:
-    """Embed low-dimensional points into R^dim along the given axes."""
-    embedded = []
-    for pt in points:
-        full = [Fraction(0)] * dim
-        for axis, value in zip(axes, pt):
-            full[axis] = Fraction(value)
-        embedded.append(tuple(full))
-    return RationalPolytope.from_points(dim, embedded)
-
-
-DIAMOND = ((1, 0), (-1, 0), (0, 1), (0, -1))
-TOP_POLYGON = ((-1, 0), (1, 0), (3, 1), (-3, 1))
-TRIANGLE = ((0, 0), (1, 0), (0, 1))
-
-FREE_MODES = ("braun", "decompose", "converse")
-AFFINE_MODES = ("braun", "affine")
-
-
-def standard_corpus() -> tuple[CorpusPair, ...]:
-    half = Fraction(1, 2)
-    two_thirds = Fraction(2, 3)
-    three_halves = Fraction(3, 2)
-    pairs = [
-        CorpusPair(
-            "octahedron",
-            embed_in(3, (0, 1), DIAMOND),
-            axis_segment(3, 2, -1, 1),
-            FREE_MODES,
-        ),
-        CorpusPair(
-            "top-polygon+segment",
-            embed_in(3, (0, 1), TOP_POLYGON),
-            axis_segment(3, 2, -1, 1),
-            FREE_MODES,
-        ),
-        CorpusPair(
-            "triangle+segment",
-            embed_in(3, (0, 1), TRIANGLE),
-            axis_segment(3, 2, -1, 1),
-            FREE_MODES,
-        ),
-        CorpusPair(
-            "skew-segments",
-            RationalPolytope.from_points(2, [(0, 0), (1, 1)]),
-            RationalPolytope.from_points(2, [(0, 0), (1, 0)]),
-            FREE_MODES,
-        ),
-        CorpusPair(
-            "halfseg+reflexive",
-            axis_segment(2, 0, 0, half),
-            axis_segment(2, 1, -1, 1),
-            FREE_MODES,
-        ),
-        CorpusPair(
-            "thirdseg+reflexive",
-            axis_segment(2, 0, Fraction(-1, 3), 1),
-            axis_segment(2, 1, -1, 1),
-            FREE_MODES,
-        ),
-        CorpusPair(
-            "twothirds+reflexive",
-            axis_segment(2, 0, 0, two_thirds),
-            axis_segment(2, 1, -1, 1),
-            FREE_MODES,
-        ),
-        CorpusPair(
-            "twothirds+twothirds",
-            axis_segment(2, 0, 0, two_thirds),
-            axis_segment(2, 1, 0, two_thirds),
-            FREE_MODES,
-        ),
-        CorpusPair(
-            "threehalves+reflexive",
-            axis_segment(2, 0, 0, three_halves),
-            axis_segment(2, 1, -1, 1),
-            FREE_MODES,
-        ),
-        CorpusPair(
-            "threehalves+threehalves",
-            axis_segment(2, 0, 0, three_halves),
-            axis_segment(2, 1, 0, three_halves),
-            FREE_MODES,
-        ),
-        CorpusPair(
-            "wide+reflexive",
-            axis_segment(2, 0, -2, 3),
-            axis_segment(2, 1, -1, 1),
-            FREE_MODES,
-        ),
-        CorpusPair(
-            "wide+twothirds",
-            axis_segment(2, 0, -2, 3),
-            axis_segment(2, 1, 0, two_thirds),
-            FREE_MODES,
-        ),
-        CorpusPair(
-            "wide+diamond",
-            axis_segment(3, 0, -2, 3),
-            embed_in(3, (1, 2), DIAMOND),
-            FREE_MODES,
-        ),
-        CorpusPair(
-            "diamond+twothirds",
-            embed_in(3, (0, 1), DIAMOND),
-            axis_segment(3, 2, 0, two_thirds),
-            FREE_MODES,
-        ),
-        CorpusPair(
-            "affine-half-cross",
-            RationalPolytope.from_points(2, [(0, 0), (1, 0)]),
-            RationalPolytope.from_points(2, [(half, -1), (half, 1)]),
-            AFFINE_MODES,
-        ),
-        CorpusPair(
-            "affine-third-cross",
-            RationalPolytope.from_points(2, [(0, 0), (1, 0)]),
-            RationalPolytope.from_points(2, [(Fraction(1, 3), -1), (Fraction(1, 3), 1)]),
-            AFFINE_MODES,
-        ),
-        CorpusPair(
-            "affine-gorenstein-triangle",
-            embed_in(3, (0, 1), TRIANGLE),
-            RationalPolytope.from_points(
-                3, [(Fraction(1, 3), Fraction(1, 3), -1), (Fraction(1, 3), Fraction(1, 3), 1)]
-            ),
-            AFFINE_MODES,
-        ),
-        CorpusPair(
-            "affine-quarter-segment",
-            RationalPolytope.from_points(2, [(Fraction(1, 4), 0), (Fraction(3, 4), 0)]),
-            RationalPolytope.from_points(2, [(half, -1), (half, 1)]),
-            AFFINE_MODES,
-        ),
-        CorpusPair(
-            "rejected-skew-lattice",
-            RationalPolytope.from_points(2, [(-1, 0), (1, 0)]),
-            RationalPolytope.from_points(2, [(-1, -2), (1, 2)]),
-            (),
-        ),
-    ]
-    return tuple(pairs)
-
-
-def standard_config(height: int = 10) -> dict:
-    """JSON-serializable configuration mirroring the bundled corpus."""
-    return {
-        "height": height,
-        "pairs": [
-            {
-                "a": format_polytope(pair.a),
-                "b": format_polytope(pair.b),
-                "modes": list(pair.modes),
-                "name": pair.name,
-            }
-            for pair in standard_corpus()
-        ],
-    }
+# The modes of `freesum check --mode` and of a corpus pair.
+MODES = ("braun", "decompose", "converse", "affine")
 
 
 def _run_pair(pair: CorpusPair, height: int) -> dict:
@@ -251,8 +86,6 @@ def _run_pair(pair: CorpusPair, height: int) -> dict:
                 "envelope_condition": condition.holds,
                 "witness": None if condition.witness is None else format_point(condition.witness),
             }
-        else:
-            raise InputError(f"unknown corpus mode: {mode}")
     report["results"] = results
     return report
 
@@ -266,8 +99,16 @@ def _checked_height(value) -> int:
 def corpus_run(config: dict) -> tuple[dict, int]:
     """Run every configured pair; returns (report, exit_code).
 
-    Classification rejections are recorded, not fatal.  The exit code is 1
-    only when a cross-pair consistency assertion fails.
+    The whole config is validated first: a malformed pair, mode or height
+    raises ``InputError`` before any pair runs.  Classification rejections
+    are recorded, not fatal.  The exit code is 1 only when a consistency
+    check fails, and ``consistency_failures`` names the pair and reason:
+
+    - a mode raised ``InternalCheckError``, and the pair is reported as
+      ``inconsistent``: ``decompose_sigma``'s assembly disagrees with the
+      hull enumeration, or ``converse_search`` saw the product formula fail
+      although a summand has a lattice-polyhedron dual;
+    - a Braun residual has a negative coefficient.
     """
     if not isinstance(config, dict) or not isinstance(config.get("pairs"), list):
         raise InputError('corpus config needs a "pairs" array')
@@ -277,8 +118,12 @@ def corpus_run(config: dict) -> tuple[dict, int]:
             raise InputError('each corpus pair needs "a" and "b" polytopes')
         if not isinstance(entry.get("name", ""), str):
             raise InputError("a corpus pair name must be a string")
-        if not isinstance(entry.get("modes", []), list):
+        modes = entry.get("modes", [])
+        if not isinstance(modes, list):
             raise InputError('corpus pair "modes" must be an array')
+        for mode in modes:
+            if mode not in MODES:
+                raise InputError(f"unknown corpus mode: {mode!r}")
         _checked_height(entry.get("height", height))
     pair_reports = []
     consistency_failures = []
@@ -299,18 +144,8 @@ def corpus_run(config: dict) -> tuple[dict, int]:
         except FreesumError as exc:
             pair_reports.append({"name": name, "classification": "error", "error_code": exc.code})
 
-    # Converse-theorem bookkeeping across the corpus: a lattice dual on
-    # either side must force the product formula, and any observed failure
-    # must come with no lattice dual on either side.
     for report in pair_reports:
         results = report.get("results", {})
-        if "braun" in results and "converse" in results:
-            braun_ok = results["braun"]["holds_up_to_bound"]
-            any_dual = results["converse"]["dual_a_lattice"] or results["converse"]["dual_b_lattice"]
-            if any_dual and not braun_ok:
-                consistency_failures.append(
-                    {"name": report["name"], "reason": "lattice dual without product formula"}
-                )
         if "braun" in results and not results["braun"]["residual_nonnegative"]:
             consistency_failures.append(
                 {"name": report["name"], "reason": "negative residual coefficient"}

@@ -8,12 +8,28 @@ box scans, and lattice splittings through explicit pair enumeration.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import freesum.freesums
 from freesum import RationalPolytope
-from freesum.linalg import LatticeBasis, in_convex_hull, invert_rational, qvec, rational_rank
+from freesum.corpus import CorpusPair
+from freesum.jsonio import parse_polytope
+from freesum.linalg import LatticeBasis, invert_rational, qvec, rational_rank
+
+
+CORPUS_FILE = Path(__file__).resolve().parent.parent / "corpus" / "standard.json"
+
+
+def corpus_pairs() -> list[CorpusPair]:
+    """The pairs of the bundled corpus file, in file order."""
+    config = json.loads(CORPUS_FILE.read_text())
+    return [
+        CorpusPair(e["name"], parse_polytope(e["a"]), parse_polytope(e["b"]), tuple(e["modes"]))
+        for e in config["pairs"]
+    ]
 
 
 def F(a, b=1):
@@ -72,12 +88,14 @@ def break_split(monkeypatch, fault):
 
 def oracle_lattice_points(p: RationalPolytope, factor) -> tuple:
     """Integer points of factor*P, in lex order, by box scan +
-    convex-combination membership."""
+    convex-combination membership: pt is in the hull of the scaled vertices
+    iff (pt, 1) is in the cone over them at height 1."""
     scaled = [tuple(factor * x for x in v) for v in p.vertices]
     lo = [math.ceil(min(v[j] for v in scaled)) for j in range(p.dim)]
     hi = [math.floor(max(v[j] for v in scaled)) for j in range(p.dim)]
     box = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-    return tuple(pt for pt in box if in_convex_hull(pt, scaled))
+    member = pos_hull_membership([v + (1,) for v in scaled])
+    return tuple(pt for pt in box if member(pt + (1,)))
 
 
 def pos_hull_membership(generators):

@@ -37,12 +37,11 @@ from freesum import (
     specialize_to_univariate,
     geometric_series,
 )
-from freesum.corpus import standard_corpus
 from freesum.errors import ClassificationError
 from freesum.polytopes import lattice_points_in_scaled
 from freesum.series import TruncatedSeries, poly_mul
 
-from conftest import F, axis_seg, diamond, oracle_count_dilate, poly, segment
+from conftest import F, axis_seg, corpus_pairs, diamond, oracle_count_dilate, poly, segment
 
 
 def _report(criterion: int, message: str) -> None:
@@ -141,7 +140,7 @@ def test_criterion_3_wide_interval_envelopes():
 
 def _free_sum_pairs():
     pairs = []
-    for entry in standard_corpus():
+    for entry in corpus_pairs():
         try:
             witness = classify_sum(entry.a, entry.b)
         except ClassificationError:
@@ -326,7 +325,8 @@ def _check_layer_sum(p: RationalPolytope, bound: int) -> None:
     lhs = apply_one_minus_monomial(sigma, (0,) * p.dim + (1,))
     total = TruncatedSeries.zero(p.dim + 1, bound)
     for pts in layers.values():
-        total = total + TruncatedSeries.indicator(p.dim + 1, bound, pts)
+        if pts:  # most layers are empty when the dual denominator is large
+            total = total + TruncatedSeries.indicator(p.dim + 1, bound, pts)
     assert lhs == total
 
 
@@ -356,13 +356,13 @@ def test_criterion_8_property_suites():
     bound = 8
 
     corpus_polytopes = []
-    corpus_pairs = []
-    for entry in standard_corpus():
+    classified_pairs = []
+    for entry in corpus_pairs():
         try:
             witness = classify_sum(entry.a, entry.b)
         except ClassificationError:
             continue
-        corpus_pairs.append((entry.a, entry.b, witness))
+        classified_pairs.append((entry.a, entry.b, witness))
         if entry.a.contains((F(0),) * entry.a.dim):
             corpus_polytopes.append(entry.a)
 
@@ -392,7 +392,7 @@ def test_criterion_8_property_suites():
         _check_envelope_properties_general(polygon, bound)
         cross_checked += 1
     seen_failures = 0
-    for j, k, witness in corpus_pairs + random_pairs:
+    for j, k, witness in classified_pairs + random_pairs:
         report = decomposition_check(witness.j, witness.k, witness.intersection_point, bound)
         assert report.ok, f"split violation: {report.violations[:3]}"
         verdict = check_braun_multivariate(witness, bound)
@@ -404,6 +404,6 @@ def test_criterion_8_property_suites():
     assert elapsed < 300
     _report(
         8,
-        f"properties hold over {len(corpus_pairs)} corpus pairs and 50 random polygons "
+        f"properties hold over {len(classified_pairs)} corpus pairs and 50 random polygons "
         f"({seen_failures} expected product failures, {elapsed:.1f}s)",
     )

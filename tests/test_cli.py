@@ -9,12 +9,13 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import freesum.freesums
 from freesum.cli import main
-from freesum.corpus import corpus_run, standard_config
+from freesum.corpus import corpus_run
 from freesum.errors import InputError
-from freesum.jsonio import format_polytope, parse_polytope, parse_rational
+from freesum.jsonio import dumps, format_polytope, parse_polytope, parse_rational
 
-from conftest import SPLIT_FAULTS, F, break_split, diamond, poly, segment
+from conftest import CORPUS_FILE, SPLIT_FAULTS, F, break_split, diamond, poly, segment
 
 
 def write_polytope(tmp_path, name, p):
@@ -246,11 +247,8 @@ def test_cli_malformed_json(tmp_path):
     assert json.loads(err)["error"] == "input-error"
 
 
-def test_cli_corpus_on_bundled_config(tmp_path):
-    config = standard_config(height=4)
-    path = tmp_path / "corpus.json"
-    path.write_text(json.dumps(config))
-    status, out, _ = run_cli(["corpus", "--config", str(path)])
+def test_cli_corpus_on_bundled_config():
+    status, out, _ = run_cli(["corpus", "--config", str(CORPUS_FILE), "--height", "4"])
     assert status == 0
     report = json.loads(out)
     assert report["consistency_failures"] == []
@@ -265,9 +263,48 @@ def test_corpus_empty():
 
 
 def test_bundled_corpus_file_in_sync():
-    with open(os.path.join(os.path.dirname(__file__), "..", "corpus", "standard.json")) as fh:
-        on_disk = json.load(fh)
-    assert on_disk == standard_config(height=10)
+    # The file is the only definition of the corpus: it must be in the
+    # canonical form that parsing and formatting every polytope reproduces.
+    text = CORPUS_FILE.read_text()
+    config = json.loads(text)
+    rebuilt = {
+        **config,
+        "pairs": [
+            {
+                **entry,
+                "a": format_polytope(parse_polytope(entry["a"])),
+                "b": format_polytope(parse_polytope(entry["b"])),
+            }
+            for entry in config["pairs"]
+        ],
+    }
+    assert text == dumps(rebuilt) + "\n"
+    assert config["height"] == 10
+    names = [entry["name"] for entry in config["pairs"]]
+    assert len(names) == len(set(names))
+    modes = {mode for entry in config["pairs"] for mode in entry["modes"]}
+    assert modes <= {"braun", "decompose", "converse", "affine"}
+
+
+def test_converse_failure_with_lattice_dual_is_inconsistent(tmp_path, monkeypatch):
+    # twothirds+twothirds fails the product formula from height 3; a lattice
+    # dual claimed for either summand must make converse_search raise.
+    monkeypatch.setattr(freesum.freesums, "is_lattice_polyhedron", lambda q: True)
+    pairs = json.loads(CORPUS_FILE.read_text())["pairs"]
+    entry = next(e for e in pairs if e["name"] == "twothirds+twothirds")
+    report, status = corpus_run({"height": 5, "pairs": [entry]})
+    assert status == 1
+    [pair] = report["pairs"]
+    assert pair["classification"] == "inconsistent" and "results" not in pair
+    assert "lattice-polyhedron dual" in pair["error"]
+    assert report["consistency_failures"] == [{"name": entry["name"], "reason": pair["error"]}]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(entry["a"]))
+    b.write_text(json.dumps(entry["b"]))
+    argv = ["check", "--a", str(a), "--b", str(b), "--mode", "converse", "--height", "5"]
+    status, out, err = run_cli(argv)
+    assert (status, out) == (1, "")
+    assert json.loads(err)["error"] == "internal-check"
 
 
 SEGMENT = {"dim": 1, "vertices": [["-1"], ["1"]]}
@@ -283,6 +320,8 @@ SEGMENT = {"dim": 1, "vertices": [["-1"], ["1"]]}
         ({"height": True, "pairs": []}, []),
         ({"pairs": [{"a": SEGMENT, "b": SEGMENT, "name": 3}, {"a": SEGMENT, "b": SEGMENT}]}, []),
         ({"pairs": [{"a": SEGMENT, "b": SEGMENT, "modes": "braun"}]}, []),
+        ({"pairs": [{"a": SEGMENT, "b": SEGMENT, "modes": ["braun", "decompse"]}]}, []),
+        ({"pairs": [{"a": SEGMENT, "b": SEGMENT, "modes": [7]}]}, []),
     ],
     ids=[
         "pair-without-a",
@@ -292,6 +331,8 @@ SEGMENT = {"dim": 1, "vertices": [["-1"], ["1"]]}
         "height-bool",
         "name-not-string",
         "modes-not-array",
+        "mode-unknown",
+        "mode-not-string",
     ],
 )
 def test_cli_corpus_malformed_config(tmp_path, config, extra):

@@ -27,7 +27,6 @@ from freesum import (
     sigma_cone,
     specialize_to_univariate,
 )
-from freesum.corpus import standard_corpus
 from freesum.errors import ClassificationError, InternalCheckError, PreconditionError
 from freesum.linalg import qvec, rational_rank
 from freesum.series import series_mul
@@ -37,6 +36,7 @@ from conftest import (
     F,
     axis_seg,
     break_split,
+    corpus_pairs,
     diamond,
     poly,
     pos_hull_membership,
@@ -203,7 +203,7 @@ def assert_braun_matches_series(witness, bound):
 
 FREE_CORPUS = [
     pair
-    for pair in standard_corpus()
+    for pair in corpus_pairs()
     if pair.modes and not any(classify_sum(pair.a, pair.b).intersection_point)
 ]
 
