@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, PreconditionError
@@ -37,6 +36,7 @@ from .polytopes import (
     lattice_points_in_scaled,
     lattice_points_with_dilation,
 )
+from .records import frozen
 
 
 def embed_at_height_one(point) -> QVector:
@@ -44,7 +44,7 @@ def embed_at_height_one(point) -> QVector:
     return qvec(point) + (Fraction(1),)
 
 
-@dataclass(frozen=True)
+@frozen
 class ConeOverPolytope:
     """Cone over a rational polytope, described by halfspaces.
 
@@ -194,7 +194,7 @@ def rind_contains(p: RationalPolytope, x) -> bool:
     return cone.contains(x) and not cone.contains(below)
 
 
-@dataclass(frozen=True)
+@frozen
 class LambdaP:
     """The refinement of Z^n generated by the standard basis and a point p.
 
@@ -229,7 +229,7 @@ def lambda_p(p) -> LambdaP:
     return LambdaP(p, r, canonical_basis(rows, n))
 
 
-@dataclass(frozen=True)
+@frozen
 class ShiftSearchResult:
     """Outcome of looking for lattice points on a shifted lower envelope."""
 

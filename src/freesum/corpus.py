@@ -7,8 +7,6 @@ pairs meeting at non-lattice points, and one deliberately rejected pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ClassificationError, FreesumError, InputError, InternalCheckError
 from .freesums import (
     FREE_SUM,
@@ -20,9 +18,10 @@ from .freesums import (
 )
 from .jsonio import format_point, parse_polytope
 from .polytopes import RationalPolytope, dual_denominator
+from .records import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class CorpusPair:
     name: str
     a: RationalPolytope

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import (
@@ -54,6 +53,7 @@ from .polytopes import (
     lattice_points_with_dilation,
     polar_dual,
 )
+from .records import frozen
 from .series import (
     TruncatedSeries,
     apply_one_minus_monomial,
@@ -70,7 +70,7 @@ FREE_SUM = "free_sum"
 AFFINE_FREE_SUM = "affine_free_sum"
 
 
-@dataclass(frozen=True)
+@frozen
 class FreeSumWitness:
     """Evidence that conv(J u K) is a (possibly affine) free sum.
 
@@ -93,7 +93,7 @@ class FreeSumWitness:
         return tuple(int(self.r * x) for x in self.intersection_point) + (self.r,)
 
 
-@dataclass(frozen=True)
+@frozen
 class BraunVerdict:
     holds_up_to_bound: bool
     height_bound: int
@@ -102,13 +102,13 @@ class BraunVerdict:
     residual: TruncatedSeries
 
 
-@dataclass(frozen=True)
+@frozen
 class EnvelopeCondition:
     holds: bool
     witness: QVector | None
 
 
-@dataclass(frozen=True)
+@frozen
 class DecompositionReport:
     points_checked: int
     violations: tuple[tuple[tuple[int, ...], int], ...]
@@ -118,7 +118,7 @@ class DecompositionReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
+@frozen
 class ConverseReport:
     dual_p_lattice: bool
     dual_q_lattice: bool
@@ -127,7 +127,7 @@ class ConverseReport:
     counterexample: tuple[tuple[int, ...], int, int] | None
 
 
-@dataclass(frozen=True)
+@frozen
 class UnivariateBraunVerdict:
     series_holds: bool
     first_mismatch: tuple[int, int, int] | None
@@ -226,14 +226,12 @@ def envelope_condition_check(j: RationalPolytope, p, height_bound: int) -> Envel
 
 
 def _pair_table(
-    j: RationalPolytope, k: RationalPolytope, height_bound: int
+    points_j: tuple[tuple[Vector, Fraction], ...], points_k: tuple[tuple[Vector, Fraction], ...]
 ) -> tuple[int, list[tuple[Vector, int]], list[tuple[int, Vector]]]:
-    """The integer points of H*J and H*K tagged with their least dilations,
-    as integers over one common denominator den: (den, [(y, a)], [(b, w)]),
-    J in lex order and K sorted by b, so a loop over K for one y can stop at
-    the first w that no height reaches.  Requires the origin in J and K."""
-    points_j = lattice_points_with_dilation(j, height_bound)
-    points_k = lattice_points_with_dilation(k, height_bound)
+    """The tagged integer points of H*J and H*K (``lattice_points_with_dilation``)
+    with their least dilations as integers over one common denominator den:
+    (den, [(y, a)], [(b, w)]), J in lex order and K sorted by b, so a loop
+    over K for one y can stop at the first w that no height reaches."""
     den = math.lcm(*(lam.denominator for _, lam in points_j + points_k))
     scaled_j = [(y, lam.numerator * (den // lam.denominator)) for y, lam in points_j]
     scaled_k = sorted((lam.numerator * (den // lam.denominator), w) for w, lam in points_k)
@@ -262,7 +260,9 @@ def check_braun_multivariate(witness: FreeSumWitness, height_bound: int) -> Brau
       is (y + w, low) for the lex-smallest y + w with low < high and low <= H,
       where the hull has 1 and the product 0.
     A pair with low <= H has both least dilations at most H, so the points
-    of H*J and H*K hold every pair that counts.
+    of H*J and H*K hold every pair that counts.  If every least dilation on
+    one side is an integer, low = high for every pair and the residual is
+    zero, so K is tagged first and H*J is not enumerated when K settles it.
 
     Affine free sums (p != 0) are the one remaining branch: they enumerate
     the hull cone and multiply sigma_J * sigma_K by (1 - z^(r*alpha(p)))
@@ -273,20 +273,26 @@ def check_braun_multivariate(witness: FreeSumWitness, height_bound: int) -> Brau
     if witness.kind == FREE_SUM:
         if height_bound < 0:
             raise InputError("height bound must be nonnegative")
-        den, scaled_j, scaled_k = _pair_table(witness.j, witness.k, height_bound)
+        points_k = lattice_points_with_dilation(witness.k, height_bound)
+        fractional = any(lam.denominator > 1 for _, lam in points_k)
+        if fractional:
+            points_j = lattice_points_with_dilation(witness.j, height_bound)
+            fractional = any(lam.denominator > 1 for _, lam in points_j)
         terms: dict[tuple[int, ...], int] = {}
-        for y, a in scaled_j:
-            ceil_a = -(-a // den)
-            for b, w in scaled_k:
-                low = -((-a - b) // den)
-                if low > height_bound:
-                    break
-                high = min(ceil_a - (-b // den), height_bound + 1)
-                if low < high:
-                    base = tuple(u + v for u, v in zip(y, w))
-                    for t in range(low, high):
-                        key = base + (t,)
-                        terms[key] = terms.get(key, 0) + 1
+        if fractional:
+            den, scaled_j, scaled_k = _pair_table(points_j, points_k)
+            for y, a in scaled_j:
+                ceil_a = -(-a // den)
+                for b, w in scaled_k:
+                    low = -((-a - b) // den)
+                    if low > height_bound:
+                        break
+                    high = min(ceil_a - (-b // den), height_bound + 1)
+                    if low < high:
+                        base = tuple(u + v for u, v in zip(y, w))
+                        for t in range(low, high):
+                            key = base + (t,)
+                            terms[key] = terms.get(key, 0) + 1
         residual = TruncatedSeries(witness.j.dim + 1, height_bound, terms)
         counterexample = (min(terms), 1, 0) if terms else None
         return BraunVerdict(
@@ -390,7 +396,9 @@ def decompose_sigma(
             "the shifted-envelope decomposition applies to free sums at the origin",
             "not-a-free-sum-at-origin",
         )
-    den, scaled_p, scaled_k = _pair_table(p, k, height_bound)
+    den, scaled_p, scaled_k = _pair_table(
+        lattice_points_with_dilation(p, height_bound), lattice_points_with_dilation(k, height_bound)
+    )
     terms: dict[tuple[int, ...], int] = {}
     for y, a in scaled_p:
         for b, w in scaled_k:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
+from .records import frozen
 
 Vector = tuple[int, ...]
 QVector = tuple[Fraction, ...]
@@ -45,7 +45,7 @@ def primitive_vector(v) -> Vector:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class IntMatrix:
     """Dense integer matrix; ``entries`` holds the rows."""
 
@@ -341,7 +341,7 @@ def invert_rational(rows) -> list[QVector]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class LatticeBasis:
     """Basis of a sublattice of Z^ambient_dim, rows in canonical HNF."""
 

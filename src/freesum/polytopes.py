@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconclusiveError, InputError, PreconditionError
@@ -33,9 +32,10 @@ from .linalg import (
     rational_nullspace,
     rational_rank,
 )
+from .records import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class RationalPolytope:
     """Convex hull of finitely many rational points, stored by its vertices."""
 
@@ -104,7 +104,7 @@ class RationalPolytope:
         return _cone_member(cone_hrep(self), point + (Fraction(1),))
 
 
-@dataclass(frozen=True)
+@frozen
 class HalfspaceRep:
     """Facet description of P inside lin(P): phi(a) <= 1 and psi(a) <= 0.
 
@@ -117,7 +117,7 @@ class HalfspaceRep:
     zero_facets: tuple[Vector, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class DualPolyhedron:
     """Vertices and recession-cone generators of the polar dual of P."""
 
@@ -125,14 +125,14 @@ class DualPolyhedron:
     ray_functionals: tuple[Vector, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class GorensteinData:
     index: int
     interior_point: Vector
     center: QVector
 
 
-@dataclass(frozen=True)
+@frozen
 class ConeHRep:
     """Integer description of the homogenization cone of P in R^(n+1).
 
@@ -276,7 +276,7 @@ def lattice_points_in_scaled(p: RationalPolytope, factor) -> tuple[Vector, ...]:
     return _lattice_points_in_scaled(p, lam)
 
 
-@dataclass(frozen=True)
+@frozen
 class _SliceFrame:
     """Integer coordinates adapted to the slices of the cone over P.
 

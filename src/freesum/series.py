@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -18,6 +17,7 @@ from .cones import ConeOverPolytope
 from .errors import InputError, InternalCheckError, TruncationError
 from .linalg import solve_linear
 from .polytopes import RationalPolytope, denominator, lattice_points_in_dilate
+from .records import frozen
 
 Exponent = tuple[int, ...]
 
@@ -26,7 +26,7 @@ def _pruned(terms: dict[Exponent, int]) -> dict[Exponent, int]:
     return {e: c for e, c in terms.items() if c != 0}
 
 
-@dataclass(frozen=True)
+@frozen
 class TruncatedSeries:
     """Sparse exponent-to-coefficient map, complete up to the height bound.
 
@@ -105,7 +105,7 @@ class TruncatedSeries:
         return None
 
 
-@dataclass(frozen=True)
+@frozen
 class UnivariateSeries:
     height_bound: int
     coefficients: tuple[int, ...]
@@ -118,7 +118,7 @@ class UnivariateSeries:
         return self.coefficients[k]
 
 
-@dataclass(frozen=True)
+@frozen
 class DeltaPolynomial:
     """Numerator of the Ehrhart series over (1 - t^den)^power."""
 
@@ -127,7 +127,7 @@ class DeltaPolynomial:
     power: int
 
 
-@dataclass(frozen=True)
+@frozen
 class QuasiPolynomial:
     """Counting function of lattice points in dilates, one constituent per residue."""
 

@@ -1,13 +1,17 @@
-"""The package's public names and its caches."""
+"""The package's public names, its caches and its records."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
 import freesum
-from freesum import cones, freesums, polytopes, series
+from freesum import cli, cones, corpus, freesums, jsonio, linalg, polytopes, series
+from freesum.records import frozen
 
 
 def test_all_lists_exactly_the_public_non_module_names():
@@ -43,3 +47,87 @@ def test_caches_are_bounded(cached):
     cache without limit."""
     maxsize = cached.cache_info().maxsize
     assert maxsize is not None and maxsize > 0
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """Every CLI verb is a fresh process, so import cost is paid per call:
+    the records must not bring back ``dataclasses`` and ``inspect``."""
+    src = str(Path(freesum.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import freesum.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
+RECORDS = sorted(
+    {
+        value
+        for module in (linalg, polytopes, cones, series, freesums, corpus, jsonio, cli)
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and getattr(vars(value).get("__setattr__"), "__module__", None) == "freesum.records"
+    },
+    key=lambda cls: cls.__qualname__,
+)
+
+
+def _record(cls, values):
+    """An instance with the given field values, past ``__post_init__``'s
+    checks, which the rest of the suite exercises."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__annotations__, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
+def test_every_record_class_is_found():
+    assert len(RECORDS) == 22
+    assert polytopes.RationalPolytope in RECORDS and series.TruncatedSeries in RECORDS
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_records_are_frozen_hashable_values(cls):
+    names = tuple(cls.__annotations__)
+
+    def values():
+        return tuple((i, str(i)) for i in range(len(names)))
+
+    record = _record(cls, values())
+    for name in (names[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, names[0])
+    assert getattr(record, names[0]) == (0, "0")
+
+    twin = _record(cls, values())
+    assert twin == record and hash(twin) == hash(record)
+    assert _record(cls, values()[:-1] + ((-1, "-1"),)) != record
+
+    # Same field values in another record class, or in a tuple, never compare equal.
+    other = frozen(type("Other", (), {"__annotations__": dict(cls.__annotations__)}))
+    assert other(*values()) != record and record != other(*values())
+    for peer in RECORDS:
+        if peer is not cls and len(peer.__annotations__) == len(names):
+            assert _record(peer, values()) != record
+    assert record != values()
+    assert repr(record).startswith(f"{cls.__qualname__}({names[0]}=")
+
+
+def test_record_init_takes_one_value_per_field_and_runs_post_init():
+    @frozen
+    class Pair:
+        a: int
+        b: tuple
+
+        def __post_init__(self):
+            object.__setattr__(self, "b", tuple(self.b))
+
+    assert Pair(1, [2]).b == (2,)
+    assert Pair(1, [2]) == Pair(1, (2,))
+    with pytest.raises(TypeError):
+        Pair(1)
+    with pytest.raises(TypeError):
+        Pair(1, 2, 3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import freesum.freesums
 from freesum import (
     AFFINE_FREE_SUM,
     FREE_SUM,
@@ -28,7 +29,7 @@ from freesum import (
     specialize_to_univariate,
 )
 from freesum.errors import ClassificationError, InternalCheckError, PreconditionError
-from freesum.linalg import qvec, rational_rank
+from freesum.linalg import qvec, rational_nullspace, rational_rank
 from freesum.series import series_mul
 
 from conftest import (
@@ -254,6 +255,34 @@ def test_braun_table_matches_series_on_free_sums(pair, bound):
     witness = classify_sum(j, k)
     assert witness.kind == FREE_SUM
     assert_braun_matches_series(witness, bound)
+
+
+def test_braun_settles_integral_side_without_enumerating_the_other(monkeypatch):
+    """With K = [-e3, e3] every least dilation on H*K is an integer, so each
+    pair has low = high: the free-sum check reads the verdict off K's tags
+    and never tags H*J, whose dilations are fractional (x + y <= 2 is a facet
+    at lattice distance 2).  The verdict still equals the series oracle."""
+    j = poly(3, (-1, -1, 0), (3, -1, 0), (-1, 3, 0))
+    k = axis_seg(3, 2, -1, 1)
+    real = freesum.freesums.lattice_points_with_dilation
+    assert any(lam.denominator > 1 for _, lam in real(j, 1))
+    tagged = []
+
+    def recording(p, bound):
+        tagged.append((p, bound))
+        return real(p, bound)
+
+    monkeypatch.setattr(freesum.freesums, "lattice_points_with_dilation", recording)
+    witness = classify_sum(j, k)
+    assert witness.kind == FREE_SUM
+    for bound in range(5):
+        tagged.clear()
+        verdict = check_braun_multivariate.__wrapped__(witness, bound)
+        assert tagged == [(k, bound)]
+        holds, counterexample, residual = braun_by_series(witness, bound)
+        assert verdict.holds_up_to_bound == holds
+        assert verdict.counterexample == counterexample
+        assert verdict.residual == residual
 
 
 def test_braun_univariate_octahedron():
@@ -543,7 +572,18 @@ def test_decomposition_check_matches_bruteforce(case, bound):
     for t in range(bound + r):
         for pt in cone_j.lattice_points_at_height(t):
             candidates.add(epsilon_project(cone_j, pt, p))
-    in_cone_k = pos_hull_membership(embed_at_height_one(v) for v in k.vertices)
+    gens_k = [embed_at_height_one(v) for v in k.vertices]
+    in_cone_k = pos_hull_membership(gens_k)
+    # z - x lies in cone(K) only if it lies in span(cone(K)), that is if
+    # N z = N x for rows N that cut the span out: bucket the candidates by N x.
+    normals = rational_nullspace(gens_k, len(gens_k[0]))
+
+    def span_class(x):
+        return tuple(sum(a * b for a, b in zip(row, x)) for row in normals)
+
+    buckets = {}
+    for x in candidates:
+        buckets.setdefault(span_class(x), []).append(x)
     report = decomposition_check(j, k, p, bound)
     decomposed = None
     if not any(p):
@@ -563,7 +603,7 @@ def test_decomposition_check_matches_bruteforce(case, bound):
             # is never counted.
             count = sum(
                 1
-                for x in candidates
+                for x in buckets.get(span_class(zq), ())
                 if x[-1] <= t and in_cone_k(tuple(a - b for a, b in zip(zq, x)))
             )
             if count != 1:
