@@ -274,25 +274,25 @@ def check_braun_multivariate(witness: FreeSumWitness, height_bound: int) -> Brau
         if height_bound < 0:
             raise InputError("height bound must be nonnegative")
         points_k = lattice_points_with_dilation(witness.k, height_bound)
-        fractional = any(lam.denominator > 1 for _, lam in points_k)
-        if fractional:
+        points_j = ()
+        if any(lam.denominator > 1 for _, lam in points_k):
             points_j = lattice_points_with_dilation(witness.j, height_bound)
-            fractional = any(lam.denominator > 1 for _, lam in points_j)
+        if all(lam.denominator == 1 for _, lam in points_j):
+            points_j = ()  # low = high for every pair: no pair counts
+        den, scaled_j, scaled_k = _pair_table(points_j, points_k)
         terms: dict[tuple[int, ...], int] = {}
-        if fractional:
-            den, scaled_j, scaled_k = _pair_table(points_j, points_k)
-            for y, a in scaled_j:
-                ceil_a = -(-a // den)
-                for b, w in scaled_k:
-                    low = -((-a - b) // den)
-                    if low > height_bound:
-                        break
-                    high = min(ceil_a - (-b // den), height_bound + 1)
-                    if low < high:
-                        base = tuple(u + v for u, v in zip(y, w))
-                        for t in range(low, high):
-                            key = base + (t,)
-                            terms[key] = terms.get(key, 0) + 1
+        for y, a in scaled_j:
+            ceil_a = -(-a // den)
+            for b, w in scaled_k:
+                low = -((-a - b) // den)
+                if low > height_bound:
+                    break
+                high = min(ceil_a - (-b // den), height_bound + 1)
+                if low < high:
+                    base = tuple(u + v for u, v in zip(y, w))
+                    for t in range(low, high):
+                        key = base + (t,)
+                        terms[key] = terms.get(key, 0) + 1
         residual = TruncatedSeries(witness.j.dim + 1, height_bound, terms)
         counterexample = (min(terms), 1, 0) if terms else None
         return BraunVerdict(

@@ -52,6 +52,5 @@ def frozen(cls):
         raise AttributeError(f"cannot delete field {name!r}")
 
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
-        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
     return cls
