@@ -1,9 +1,8 @@
 """Exact lattice-point generating functions for free sums of rational polytopes."""
 
 from .cones import (
-    ConeOverPolytope, LambdaP, ShiftSearchResult, cone_over, embed_at_height_one, epsilon_project,
-    lambda_p, llenv_points, on_lower_envelope, rind_contains, shifted_cone_lattice_points,
-    shifted_envelope_lattice_points, shifted_envelope_nonempty,
+    ConeOverPolytope, LambdaP, ShiftSearchResult, cone_over, embed_at_height_one, lambda_p,
+    llenv_points, shifted_envelope_lattice_points, shifted_envelope_nonempty,
 )
 from .errors import (
     ClassificationError, FreesumError, InconclusiveError, InputError, InternalCheckError,
@@ -16,18 +15,16 @@ from .freesums import (
     envelope_condition_check, gorenstein_affine_check, hull_union,
 )
 from .linalg import (
-    IntMatrix, LatticeBasis, complementary_in, hnf, in_convex_hull, in_pos_hull,
-    lattice_basis_of_span, snf,
+    IntMatrix, LatticeBasis, complementary_in, hnf, in_pos_hull, lattice_basis_of_span, snf,
 )
 from .polytopes import (
     DualPolyhedron, GorensteinData, HalfspaceRep, RationalPolytope, denominator, dual_denominator,
     gorenstein_data, halfspace_rep, interior_lattice_points_in_dilate, is_lattice_polyhedron,
-    is_reflexive, lattice_points_in_dilate, min_dilation, polar_dual,
+    is_reflexive, lattice_points_in_dilate, polar_dual,
 )
 from .series import (
-    DeltaPolynomial, QuasiPolynomial, TruncatedSeries, UnivariateSeries, apply_one_minus_monomial,
-    delta_polynomial, ehrhart_series, geometric_series, quasipolynomial, series_mul, sigma_cone,
-    specialize_to_univariate,
+    DeltaPolynomial, TruncatedSeries, UnivariateSeries, apply_one_minus_monomial,
+    delta_polynomial, ehrhart_series, series_mul, sigma_cone,
 )
 
 __version__ = "0.1.0"
@@ -35,8 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     # cones
     "ConeOverPolytope", "LambdaP", "ShiftSearchResult", "cone_over", "embed_at_height_one",
-    "epsilon_project", "lambda_p", "llenv_points", "on_lower_envelope", "rind_contains",
-    "shifted_cone_lattice_points", "shifted_envelope_lattice_points", "shifted_envelope_nonempty",
+    "lambda_p", "llenv_points", "shifted_envelope_lattice_points", "shifted_envelope_nonempty",
     # errors
     "ClassificationError", "FreesumError", "InconclusiveError", "InputError", "InternalCheckError",
     "PreconditionError", "TruncationError",
@@ -46,15 +42,13 @@ __all__ = [
     "check_braun_univariate", "classify_sum", "converse_search", "decompose_sigma",
     "decomposition_check", "envelope_condition_check", "gorenstein_affine_check", "hull_union",
     # linalg
-    "IntMatrix", "LatticeBasis", "complementary_in", "hnf", "in_convex_hull", "in_pos_hull",
+    "IntMatrix", "LatticeBasis", "complementary_in", "hnf", "in_pos_hull",
     "lattice_basis_of_span", "snf",
     # polytopes
     "DualPolyhedron", "GorensteinData", "HalfspaceRep", "RationalPolytope", "denominator",
     "dual_denominator", "gorenstein_data", "halfspace_rep", "interior_lattice_points_in_dilate",
-    "is_lattice_polyhedron", "is_reflexive", "lattice_points_in_dilate", "min_dilation",
-    "polar_dual",
+    "is_lattice_polyhedron", "is_reflexive", "lattice_points_in_dilate", "polar_dual",
     # series
-    "DeltaPolynomial", "QuasiPolynomial", "TruncatedSeries", "UnivariateSeries",
-    "apply_one_minus_monomial", "delta_polynomial", "ehrhart_series", "geometric_series",
-    "quasipolynomial", "series_mul", "sigma_cone", "specialize_to_univariate",
+    "DeltaPolynomial", "TruncatedSeries", "UnivariateSeries", "apply_one_minus_monomial",
+    "delta_polynomial", "ehrhart_series", "series_mul", "sigma_cone",
 ]

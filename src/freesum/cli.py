@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -41,19 +40,6 @@ from .polytopes import (
 from .series import delta_polynomial, ehrhart_series, sigma_cone
 
 DEFAULT_HEIGHT = 12
-
-
-def _default_height() -> int:
-    raw = os.environ.get("FREESUM_DEFAULT_HEIGHT")
-    if raw is None:
-        return DEFAULT_HEIGHT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise FreesumError(f"FREESUM_DEFAULT_HEIGHT is not an integer: {raw!r}", "bad-env")
-    if value < 0:
-        raise FreesumError("FREESUM_DEFAULT_HEIGHT must be nonnegative", "bad-env")
-    return value
 
 
 def _parse_point_flag(raw: str):
@@ -112,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _height(args) -> int:
-    value = args.height if getattr(args, "height", None) is not None else _default_height()
+    value = args.height if getattr(args, "height", None) is not None else DEFAULT_HEIGHT
     if value < 0:
         raise FreesumError("height bound must be nonnegative", "bad-height")
     return value
@@ -158,7 +144,7 @@ def _run_sigma(args):
 
 def _run_envelope(args):
     p = load_polytope(args.infile)
-    point = _parse_point_flag(args.point) if args.point else (Fraction(0),) * p.dim
+    point = _parse_point_flag(args.point) if args.point is not None else (Fraction(0),) * p.dim
     points = llenv_points(cone_over(p), point, _height(args))
     return (
         {

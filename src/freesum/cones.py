@@ -3,10 +3,10 @@
 The cone over P is the set of nonnegative multiples of P embedded at height
 one.  Directional projections travel along ``alpha(p) = (p, 1)``; the
 vertical case is ``p = 0``.  For P containing the origin, the shifted lower
-envelopes of cone(P) and the copies of cone(P) shifted down by i/d are read
-off one enumeration of an integer dilate, each point tagged with its least
-dilation (``lattice_points_with_dilation``).  ``decompose_sigma`` reads the
-same tags in one pass; the two helpers here list single layers.
+envelopes of cone(P) are read off one enumeration of an integer dilate, each
+point tagged with its least dilation (``lattice_points_with_dilation``).
+``decompose_sigma`` reads the same tags in one pass;
+``shifted_envelope_lattice_points`` lists a single layer.
 """
 
 from __future__ import annotations
@@ -83,13 +83,21 @@ def cone_over(p: RationalPolytope) -> ConeOverPolytope:
     return ConeOverPolytope(p, cone_hrep(p))
 
 
-def _projection_data(cone: ConeOverPolytope, p) -> tuple[QVector, list[tuple[Vector, int]]]:
-    """Validated direction alpha(p) plus the facet rows that bound it."""
+def llenv_points(cone: ConeOverPolytope, p, height_bound: int) -> list[tuple[QVector, bool]]:
+    """Projections of the cone's lattice points with height <= bound.
+
+    Each envelope point is flagged True when it is itself a lattice point;
+    the list is deduplicated and lexicographically sorted.
+    """
+    if height_bound < 0:
+        raise InputError("height bound must be nonnegative")
     ap = embed_at_height_one(p)
     if len(ap) != cone.ambient_dim:
         raise InputError("direction dimension mismatch")
     if not cone.contains(ap):
         raise PreconditionError("direction point must lie in the cone", "direction-not-in-cone")
+    # Each facet h with h.alpha(p) < 0 caps the multiple of alpha(p) that a
+    # point can drop by at (h.x)/(h.alpha(p)).
     ap_int = clear_denominators(ap)
     rows = []
     for h in cone.hrep.facet_rows:
@@ -100,37 +108,6 @@ def _projection_data(cone: ConeOverPolytope, p) -> tuple[QVector, list[tuple[Vec
         raise PreconditionError(
             "projection direction is not bounded by the cone", "direction-unbounded"
         )
-    return ap, rows
-
-
-def epsilon_project(cone: ConeOverPolytope, x, p) -> QVector:
-    """Project x to the p-lower envelope: subtract the largest multiple of
-    alpha(p) that stays in the cone."""
-    x = qvec(x)
-    if not cone.contains(x):
-        raise PreconditionError("point must lie in the cone", "point-not-in-cone")
-    ap, rows = _projection_data(cone, p)
-    scale = math.lcm(*(c.denominator for c in ap))
-    # Each bounding facet h with h.alpha(p) < 0 caps lambda at (h.x)/(h.alpha(p)).
-    lam = min(scale * sum(a * b for a, b in zip(h, x)) / d for h, d in rows)
-    return tuple(a - lam * b for a, b in zip(x, ap))
-
-
-def on_lower_envelope(cone: ConeOverPolytope, x, p) -> bool:
-    """Whether x is its own p-projection."""
-    x = qvec(x)
-    return epsilon_project(cone, x, p) == x
-
-
-def llenv_points(cone: ConeOverPolytope, p, height_bound: int) -> list[tuple[QVector, bool]]:
-    """Projections of the cone's lattice points with height <= bound.
-
-    Each envelope point is flagged True when it is itself a lattice point;
-    the list is deduplicated and lexicographically sorted.
-    """
-    if height_bound < 0:
-        raise InputError("height bound must be nonnegative")
-    ap, rows = _projection_data(cone, p)
     scale = math.lcm(*(c.denominator for c in ap))
     seen: dict[QVector, bool] = {}
     for t in range(height_bound + 1):
@@ -152,8 +129,8 @@ def shifted_envelope_lattice_points(
     These are the lattice points lying in the cone shifted up by
     index/d but not in the cone shifted up by (index+1)/d, where d is the
     denominator of the polar dual.  As d times the least dilation of an
-    integer point y is an integer, (y, t) is such a point exactly when
-    t = min_dilation(p, y) + index/d.
+    integer point y is an integer, (y, t) is such a point exactly when t is
+    that least dilation plus index/d.
     """
     d = dual_denominator(p)
     if not 0 <= index <= d - 1:
@@ -167,31 +144,6 @@ def shifted_envelope_lattice_points(
         if t.denominator == 1 and t <= height_bound:
             out.append(y + (int(t),))
     return sorted(out)
-
-
-def shifted_cone_lattice_points(
-    p: RationalPolytope, index: int, denominator: int, height_bound: int
-) -> list[Vector]:
-    """Integer points (w, s), 0 <= s <= bound, of cone(P) shifted down by
-    index/denominator: those with w in (s + index/denominator)*P, that is,
-    min_dilation(p, w) <= s + index/denominator.  Requires the origin in P.
-    """
-    if not 0 <= index <= denominator:
-        raise InputError("shift index out of range")
-    shift = Fraction(index, denominator)
-    out = []
-    for w, lam in lattice_points_with_dilation(p, height_bound + 1):
-        low = max(0, math.ceil(lam - shift))
-        out.extend(w + (s,) for s in range(low, height_bound + 1))
-    return sorted(out)
-
-
-def rind_contains(p: RationalPolytope, x) -> bool:
-    """Membership in cone(P) minus its translate by the last basis vector."""
-    cone = cone_over(p)
-    x = qvec(x)
-    below = x[:-1] + (x[-1] - 1,)
-    return cone.contains(x) and not cone.contains(below)
 
 
 @frozen

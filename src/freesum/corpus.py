@@ -112,6 +112,7 @@ def corpus_run(config: dict) -> tuple[dict, int]:
     if not isinstance(config, dict) or not isinstance(config.get("pairs"), list):
         raise InputError('corpus config needs a "pairs" array')
     height = _checked_height(config.get("height", 10))
+    runs = []
     for entry in config["pairs"]:
         if not isinstance(entry, dict) or "a" not in entry or "b" not in entry:
             raise InputError('each corpus pair needs "a" and "b" polytopes')
@@ -123,18 +124,17 @@ def corpus_run(config: dict) -> tuple[dict, int]:
         for mode in modes:
             if mode not in MODES:
                 raise InputError(f"unknown corpus mode: {mode!r}")
-        _checked_height(entry.get("height", height))
-    pair_reports = []
-    consistency_failures = []
-    for entry in sorted(config["pairs"], key=lambda e: e.get("name", "")):
-        name = entry.get("name", "unnamed")
         pair = CorpusPair(
-            name,
+            entry.get("name", "unnamed"),
             parse_polytope(entry["a"]),
             parse_polytope(entry["b"]),
-            tuple(entry.get("modes", ())),
+            tuple(modes),
         )
-        pair_height = entry.get("height", height)
+        runs.append((entry.get("name", ""), pair, _checked_height(entry.get("height", height))))
+    pair_reports = []
+    consistency_failures = []
+    for _, pair, pair_height in sorted(runs, key=lambda run: run[0]):
+        name = pair.name
         try:
             pair_reports.append(_run_pair(pair, pair_height))
         except InternalCheckError as exc:

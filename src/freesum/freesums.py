@@ -113,10 +113,6 @@ class DecompositionReport:
     points_checked: int
     violations: tuple[tuple[tuple[int, ...], int], ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 @frozen
 class ConverseReport:

@@ -61,10 +61,6 @@ def parse_polytope(obj) -> RationalPolytope:
     return RationalPolytope.from_points(dim, points)
 
 
-def format_polytope(p: RationalPolytope) -> dict:
-    return {"dim": p.dim, "vertices": [format_point(v) for v in p.vertices]}
-
-
 def load_polytope(path: str) -> RationalPolytope:
     try:
         with open(path, "r", encoding="utf-8") as handle:

@@ -67,21 +67,6 @@ class IntMatrix:
     def identity(cls, n: int) -> IntMatrix:
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def __mul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise InputError("matrix product shape mismatch")
-        prod = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*other.entries))
-            for row in self.entries
-        )
-        return IntMatrix(self.rows, other.cols, prod)
-
-    def det(self) -> int:
-        if self.rows != self.cols:
-            raise InputError("determinant of a non-square matrix")
-        d = rational_det([qvec(r) for r in self.entries])
-        return int(d)
-
 
 def _row_sub(a: list[list[int]], i: int, j: int, q: int) -> None:
     if q:
@@ -304,27 +289,6 @@ def rational_nullspace(rows, ncols: int) -> list[QVector]:
     return basis
 
 
-def rational_det(rows) -> Fraction:
-    a = [list(qvec(r)) for r in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
-
-
 def invert_rational(rows) -> list[QVector]:
     """Exact inverse of a square rational matrix, as a list of rows."""
     a = [list(qvec(r)) for r in rows]
@@ -354,10 +318,6 @@ class LatticeBasis:
                 raise InputError("basis vector has wrong dimension")
         if self.vectors and rational_rank(self.vectors) != len(self.vectors):
             raise InputError("basis vectors must be linearly independent")
-
-    @classmethod
-    def standard(cls, n: int) -> LatticeBasis:
-        return cls(n, tuple(tuple(r) for r in IntMatrix.identity(n).entries))
 
     @property
     def rank(self) -> int:
@@ -443,7 +403,8 @@ def complementary_in(target: LatticeBasis, a: LatticeBasis, b: LatticeBasis) -> 
 #
 # A reference oracle, independent of the facet scan in ``polytopes``: the
 # tests check the production path against it, and no module of the package
-# calls it.
+# calls it.  It stays here rather than in the tests because the benchmark's
+# tracer wraps it.
 
 
 def in_pos_hull(point, generators) -> bool:
@@ -472,10 +433,3 @@ def in_pos_hull(point, generators) -> bool:
         if coeffs is not None and all(c >= 0 for c in coeffs):
             return True
     return False
-
-
-def in_convex_hull(point, points) -> bool:
-    """Exact membership of ``point`` in the convex hull of ``points``."""
-    point = qvec(point)
-    lifted = [qvec(p) + (Fraction(1),) for p in points]
-    return in_pos_hull(point + (Fraction(1),), lifted)

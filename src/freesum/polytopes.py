@@ -527,23 +527,11 @@ def _least_dilation(hrep: ConeHRep, point) -> Fraction | None:
     return Fraction(num, den)
 
 
-def min_dilation(p: RationalPolytope, point) -> Fraction | None:
-    """Least lambda >= 0 with the point in lambda*P; None when outside pos(P).
-
-    Requires the origin in P.  For an integer point y of pos(P), the value
-    times dual_denominator(p) is an integer.
-    """
-    _require_origin(p)
-    point = qvec(point)
-    if len(point) != p.dim:
-        raise InputError("point dimension mismatch")
-    return _least_dilation(cone_hrep(p), point)
-
-
 @functools.lru_cache(maxsize=512)
 def lattice_points_with_dilation(p: RationalPolytope, bound) -> tuple[tuple[Vector, Fraction], ...]:
-    """Pairs (y, min_dilation(p, y)) over the integer points y of bound*P, in
-    lex order, for a rational bound >= 0; requires the origin in P."""
+    """Pairs (y, least lambda >= 0 with y in lambda*P) over the integer points
+    y of bound*P, in lex order, for a rational bound >= 0; requires the origin
+    in P."""
     _require_origin(p)
     hrep = cone_hrep(p)
     return tuple((y, _least_dilation(hrep, y)) for y in lattice_points_in_scaled(p, bound))

@@ -15,7 +15,6 @@ from types import MappingProxyType
 
 from .cones import ConeOverPolytope
 from .errors import InputError, InternalCheckError, TruncationError
-from .linalg import solve_linear
 from .polytopes import RationalPolytope, denominator, lattice_points_in_dilate
 from .records import frozen
 
@@ -47,28 +46,8 @@ class TruncatedSeries:
             if not 0 <= e[-1] <= self.height_bound:
                 raise InputError("exponent height outside the truncation window")
 
-    @classmethod
-    def zero(cls, num_vars: int, height_bound: int) -> TruncatedSeries:
-        return cls(num_vars, height_bound, {})
-
-    @classmethod
-    def one(cls, num_vars: int, height_bound: int) -> TruncatedSeries:
-        return cls(num_vars, height_bound, {(0,) * num_vars: 1})
-
-    @classmethod
-    def from_terms(cls, num_vars, height_bound, terms) -> TruncatedSeries:
-        return cls(num_vars, height_bound, _pruned(dict(terms)))
-
-    @classmethod
-    def indicator(cls, num_vars, height_bound, points) -> TruncatedSeries:
-        """Series with coefficient one at each given integer point."""
-        return cls(num_vars, height_bound, {tuple(int(x) for x in pt): 1 for pt in points})
-
     def coefficient(self, exp) -> int:
         return self.terms.get(tuple(exp), 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def has_negative_coefficient(self) -> bool:
         return any(c < 0 for c in self.terms.values())
@@ -127,18 +106,6 @@ class DeltaPolynomial:
     power: int
 
 
-@frozen
-class QuasiPolynomial:
-    """Counting function of lattice points in dilates, one constituent per residue."""
-
-    period: int
-    constituents: tuple[tuple[Fraction, ...], ...]
-
-    def evaluate(self, k: int) -> Fraction:
-        coeffs = self.constituents[k % self.period]
-        return sum((c * k**i for i, c in enumerate(coeffs)), Fraction(0))
-
-
 @functools.lru_cache(maxsize=512)
 def sigma_cone(cone: ConeOverPolytope, height_bound: int) -> TruncatedSeries:
     """Generating function of the cone's lattice points up to the height bound."""
@@ -187,27 +154,6 @@ def apply_one_minus_monomial(s: TruncatedSeries, exp) -> TruncatedSeries:
         if shifted[-1] <= s.height_bound:
             out[shifted] = out.get(shifted, 0) - c
     return TruncatedSeries(s.num_vars, s.height_bound, _pruned(out))
-
-
-def geometric_series(exp, num_vars: int, height_bound: int) -> TruncatedSeries:
-    """Expansion of 1/(1 - z^exp) for an exponent of positive height."""
-    exp = tuple(int(x) for x in exp)
-    if exp[-1] <= 0:
-        raise InputError("geometric series needs positive height")
-    terms = {}
-    j = 0
-    while j * exp[-1] <= height_bound:
-        terms[tuple(j * x for x in exp)] = 1
-        j += 1
-    return TruncatedSeries(num_vars, height_bound, terms)
-
-
-def specialize_to_univariate(s: TruncatedSeries) -> UnivariateSeries:
-    """Sum the coefficients of each height slice."""
-    coeffs = [0] * (s.height_bound + 1)
-    for e, c in s.terms.items():
-        coeffs[e[-1]] += c
-    return UnivariateSeries(s.height_bound, tuple(coeffs))
 
 
 def ehrhart_series(p: RationalPolytope, height_bound: int) -> UnivariateSeries:
@@ -277,30 +223,3 @@ def delta_polynomial(p: RationalPolytope, height_bound: int) -> DeltaPolynomial:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return DeltaPolynomial(tuple(coeffs), den, power)
-
-
-def quasipolynomial(p: RationalPolytope, holdout: int = 2) -> QuasiPolynomial:
-    """Interpolated dilate-counting quasi-polynomial, validated on holdouts."""
-    den = denominator(p)
-    dim = p.affine_dim
-    samples_needed = den * (dim + holdout + 1) + den
-    counts = [len(lattice_points_in_dilate(p, k)) for k in range(samples_needed + 1)]
-    constituents = []
-    for r in range(den):
-        ks = [r + j * den for j in range(dim + 1)]
-        rows = [[Fraction(k) ** i for i in range(dim + 1)] for k in ks]
-        coeffs = solve_linear(rows, [counts[k] for k in ks])
-        if coeffs is None:
-            raise InternalCheckError("interpolation system was singular")
-        constituents.append(tuple(coeffs))
-        for j in range(dim + 1, dim + holdout + 1):
-            k = r + j * den
-            value = sum(c * k**i for i, c in enumerate(coeffs))
-            if value != counts[k]:
-                raise InternalCheckError(f"holdout count mismatch at dilation {k}")
-    period = den
-    for q in range(1, den + 1):
-        if den % q == 0 and all(constituents[r] == constituents[r % q] for r in range(den)):
-            period = q
-            break
-    return QuasiPolynomial(period, tuple(constituents[:period]))

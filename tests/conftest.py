@@ -7,6 +7,7 @@ box scans, and lattice splittings through explicit pair enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -14,10 +15,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import freesum.freesums
-from freesum import RationalPolytope
+from freesum import RationalPolytope, TruncatedSeries, UnivariateSeries, cone_over
 from freesum.corpus import CorpusPair
-from freesum.jsonio import parse_polytope
-from freesum.linalg import LatticeBasis, invert_rational, qvec, rational_rank
+from freesum.errors import PreconditionError
+from freesum.jsonio import format_point, parse_polytope
+from freesum.linalg import LatticeBasis, in_pos_hull, invert_rational, qvec, rational_rank
 
 
 CORPUS_FILE = Path(__file__).resolve().parent.parent / "corpus" / "standard.json"
@@ -30,6 +32,11 @@ def corpus_pairs() -> list[CorpusPair]:
         CorpusPair(e["name"], parse_polytope(e["a"]), parse_polytope(e["b"]), tuple(e["modes"]))
         for e in config["pairs"]
     ]
+
+
+def format_polytope(p: RationalPolytope) -> dict:
+    """The JSON form that ``parse_polytope`` reads."""
+    return {"dim": p.dim, "vertices": [format_point(v) for v in p.vertices]}
 
 
 def F(a, b=1):
@@ -59,6 +66,73 @@ def diamond(dim=2, axes=(0, 1)) -> RationalPolytope:
             v[axis] = sign
             pts.append(tuple(v))
     return poly(dim, *pts)
+
+
+def standard_lattice(n: int) -> LatticeBasis:
+    return LatticeBasis(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def series_one(num_vars: int, height_bound: int) -> TruncatedSeries:
+    return TruncatedSeries(num_vars, height_bound, {(0,) * num_vars: 1})
+
+
+def indicator_series(num_vars: int, height_bound: int, points) -> TruncatedSeries:
+    """Series with coefficient one at each given integer point."""
+    return TruncatedSeries(num_vars, height_bound, {tuple(pt): 1 for pt in points})
+
+
+def geometric_series(exp, num_vars: int, height_bound: int) -> TruncatedSeries:
+    """Expansion of 1/(1 - z^exp) for an exponent of positive height."""
+    assert exp[-1] > 0
+    terms = {}
+    j = 0
+    while j * exp[-1] <= height_bound:
+        terms[tuple(j * x for x in exp)] = 1
+        j += 1
+    return TruncatedSeries(num_vars, height_bound, terms)
+
+
+def specialize_to_univariate(s: TruncatedSeries) -> UnivariateSeries:
+    """Sum the coefficients of each height slice."""
+    coeffs = [0] * (s.height_bound + 1)
+    for e, c in s.terms.items():
+        coeffs[e[-1]] += c
+    return UnivariateSeries(s.height_bound, tuple(coeffs))
+
+
+def rind_contains(p: RationalPolytope, x) -> bool:
+    """Membership in cone(P) minus its translate by the last basis vector."""
+    cone = cone_over(p)
+    x = qvec(x)
+    below = x[:-1] + (x[-1] - 1,)
+    return cone.contains(x) and not cone.contains(below)
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def epsilon_project(cone, x, p) -> tuple:
+    """Project x to the p-lower envelope of the cone: subtract the largest
+    multiple of alpha(p) = (p, 1) that stays in the cone.  Each facet row h
+    has h.y <= 0 on the cone, so a row with h.alpha(p) < 0 caps the multiple
+    at (h.x)/(h.alpha(p)); a row with h.alpha(p) >= 0 caps nothing."""
+    x, ap = qvec(x), qvec(p) + (Fraction(1),)
+    if not cone.contains(x):
+        raise PreconditionError("point must lie in the cone", "point-not-in-cone")
+    if not cone.contains(ap):
+        raise PreconditionError("direction point must lie in the cone", "direction-not-in-cone")
+    caps = [_dot(h, x) / _dot(h, ap) for h in cone.hrep.facet_rows if _dot(h, ap) < 0]
+    if not caps:
+        raise PreconditionError("direction is not bounded by the cone", "direction-unbounded")
+    lam = min(caps)
+    return tuple(a - lam * b for a, b in zip(x, ap))
+
+
+def in_convex_hull(point, points) -> bool:
+    """Exact membership of ``point`` in the convex hull of ``points``."""
+    lifted = [qvec(p) + (Fraction(1),) for p in points]
+    return in_pos_hull(qvec(point) + (Fraction(1),), lifted)
 
 
 # Faults in the tagged points of K = [-e2, e2] at height 1, as the one-pass
@@ -98,13 +172,10 @@ def oracle_lattice_points(p: RationalPolytope, factor) -> tuple:
     return tuple(pt for pt in box if member(pt + (1,)))
 
 
-def pos_hull_membership(generators):
-    """Membership test for the cone of nonnegative combinations of the
-    generators, the same conic Caratheodory decision as ``in_pos_hull`` with
-    the per-cone work done once: the span rank d, and for each independent
-    d-subset the inverse of d independent rows of its columns.  A point is in
-    the cone iff some subset's coefficients are nonnegative and reproduce it
-    (a point off the span is reproduced by none)."""
+def _basis_solvers(generators) -> list:
+    """The per-cone work of conic Caratheodory, done once: the span rank d of
+    the nonzero generators, and for each independent d-subset the inverse of
+    d independent rows of its columns."""
     gens = [g for g in map(qvec, generators) if any(g)]
     d = rational_rank(gens)
     solvers = []
@@ -117,20 +188,54 @@ def pos_hull_membership(generators):
             if rational_rank([cols[r] for r in rows + [i]]) > len(rows):
                 rows.append(i)
         solvers.append((subset, rows, invert_rational([cols[r] for r in rows])))
+    return solvers
+
+
+def _nonnegative_coefficients(solver, point):
+    """The point's coefficients on the solver's subset, or None unless they
+    are nonnegative and reproduce it (a point off the span is reproduced by
+    none)."""
+    subset, rows, inverse = solver
+    coeffs = [sum(a * point[r] for a, r in zip(row, rows)) for row in inverse]
+    if any(c < 0 for c in coeffs):
+        return None
+    if all(sum(c * g[i] for c, g in zip(coeffs, subset)) == x for i, x in enumerate(point)):
+        return coeffs
+    return None
+
+
+def pos_hull_membership(generators):
+    """Membership test for the cone of nonnegative combinations of the
+    generators, the same conic Caratheodory decision as ``in_pos_hull``: a
+    point is in the cone iff some independent subset carries it with
+    nonnegative coefficients."""
+    solvers = _basis_solvers(generators)
 
     def member(point) -> bool:
         point = qvec(point)
         if not any(point):
             return True
-        for subset, rows, inverse in solvers:
-            coeffs = [sum(a * point[r] for a, r in zip(row, rows)) for row in inverse]
-            if any(c < 0 for c in coeffs):
-                continue
-            if all(sum(c * g[i] for c, g in zip(coeffs, subset)) == x for i, x in enumerate(point)):
-                return True
-        return False
+        return any(_nonnegative_coefficients(s, point) is not None for s in solvers)
 
     return member
+
+
+@functools.lru_cache(maxsize=256)
+def _vertex_solvers(p: RationalPolytope) -> list:
+    return _basis_solvers(p.vertices)
+
+
+def min_dilation(p: RationalPolytope, point):
+    """Least lambda >= 0 with the point in lambda*P, None when there is none,
+    for P containing the origin.  Then y is in lambda*P iff y = sum c_i v_i
+    over the vertices with c >= 0 and sum c_i <= lambda.  The least sum is a
+    linear program over c >= 0, so it is reached at a basic solution, carried
+    by independent vertices that extend to an independent d-subset."""
+    point = qvec(point)
+    if not any(point):
+        return Fraction(0)
+    coefficients = (_nonnegative_coefficients(s, point) for s in _vertex_solvers(p))
+    return min((sum(c) for c in coefficients if c is not None), default=None)
 
 
 def oracle_count_dilate(p: RationalPolytope, k: int) -> int:

@@ -4,18 +4,27 @@ from __future__ import annotations
 
 import io
 import json
-import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import freesum.corpus
 import freesum.freesums
 from freesum.cli import main
 from freesum.corpus import corpus_run
 from freesum.errors import InputError
-from freesum.jsonio import dumps, format_polytope, parse_polytope, parse_rational
+from freesum.jsonio import dumps, parse_polytope, parse_rational
 
-from conftest import CORPUS_FILE, SPLIT_FAULTS, F, break_split, diamond, poly, segment
+from conftest import (
+    CORPUS_FILE,
+    SPLIT_FAULTS,
+    F,
+    break_split,
+    diamond,
+    format_polytope,
+    poly,
+    segment,
+)
 
 
 def write_polytope(tmp_path, name, p):
@@ -95,12 +104,10 @@ def test_cli_ehrhart_and_height_env(tmp_path):
     status, out, _ = run_cli(["ehrhart", "--in", path, "--height", "2"])
     assert status == 0
     assert json.loads(out)["coefficients"] == ["1", "5", "13"]
-    os.environ["FREESUM_DEFAULT_HEIGHT"] = "1"
-    try:
-        status, out, _ = run_cli(["ehrhart", "--in", path])
-        assert json.loads(out)["coefficients"] == ["1", "5"]
-    finally:
-        del os.environ["FREESUM_DEFAULT_HEIGHT"]
+    # Without --height the bound is 12: thirteen coefficients.
+    status, out, _ = run_cli(["ehrhart", "--in", path])
+    assert status == 0
+    assert len(json.loads(out)["coefficients"]) == 13
 
 
 def test_cli_sigma_envelope(tmp_path):
@@ -115,6 +122,16 @@ def test_cli_sigma_envelope(tmp_path):
     assert status == 0
     report = json.loads(out)
     assert {"coords": ["1/2", "2"], "lattice": False} in report["points"]
+
+
+@pytest.mark.parametrize("verb", ["envelope", "check"])
+def test_cli_rejects_empty_point_flag(tmp_path, verb):
+    # An empty --p names no point: it must not fall back to the origin.
+    path = write_polytope(tmp_path, "diamond.json", diamond())
+    inputs = ["--a", path, "--b", path] if verb == "check" else ["--in", path]
+    status, out, err = run_cli([verb, *inputs, "--p=", "--height", "1"])
+    assert (status, out) == (2, "")
+    assert json.loads(err)["error"] == "bad-point-flag"
 
 
 def test_cli_gorenstein(tmp_path):
@@ -342,6 +359,18 @@ def test_cli_corpus_malformed_config(tmp_path, config, extra):
     assert status == 2
     assert out == ""
     assert json.loads(err)["error"] == "input-error"
+
+
+def test_corpus_validates_every_pair_before_running_any(monkeypatch):
+    # Pair "a" sorts first and is well formed; pair "z" has a bad vertex.
+    def fail(pair, height):
+        raise AssertionError(f"pair {pair.name} ran before the config was validated")
+
+    monkeypatch.setattr(freesum.corpus, "_run_pair", fail)
+    broken = {"dim": 1, "vertices": [["1/0"], ["1"]]}
+    pairs = [{"name": "z", "a": broken, "b": SEGMENT}, {"name": "a", "a": SEGMENT, "b": SEGMENT}]
+    with pytest.raises(InputError):
+        corpus_run({"pairs": pairs})
 
 
 def test_cli_rejects_boolean_dim(tmp_path):

@@ -12,20 +12,16 @@ import pytest
 from freesum import (
     cone_over,
     embed_at_height_one,
-    epsilon_project,
     lambda_p,
     lattice_points_in_dilate,
     llenv_points,
-    on_lower_envelope,
-    rind_contains,
-    shifted_cone_lattice_points,
     shifted_envelope_lattice_points,
     shifted_envelope_nonempty,
 )
 from freesum.errors import InputError, PreconditionError
 from freesum.linalg import in_pos_hull, qvec
 
-from conftest import F, diamond, poly, segment
+from conftest import F, diamond, epsilon_project, poly, rind_contains, segment
 
 
 def generators(p):
@@ -90,13 +86,6 @@ def test_epsilon_idempotent_samples():
     for pt in [(1, 1, 2), (0, 0, 3), (F(1, 2), F(1, 3), 1), (-2, 0, 2)]:
         first = epsilon_project(cone, pt, (F(0), F(0)))
         assert epsilon_project(cone, first, (F(0), F(0))) == first
-
-
-def test_on_lower_envelope():
-    cone = cone_over(segment(-2, 3))
-    assert on_lower_envelope(cone, (0, 0), (F(0),))
-    assert on_lower_envelope(cone, (2, F(2, 3)), (F(0),))
-    assert not on_lower_envelope(cone, (0, 1), (F(0),))
 
 
 def test_llenv_quarter_segment_contains_paper_witness():
@@ -282,15 +271,3 @@ def test_shift_search_symmetry():
             minus = shifted_envelope_nonempty(p, rho, -1)
             if plus.exact and minus.exact:
                 assert plus.nonempty == minus.nonempty
-
-
-def test_shifted_cone_heights():
-    down = shifted_cone_lattice_points(segment(0, F(2, 3)), 1, 2, 1)
-    # Height t on the shifted cone corresponds to dilation t + 1/2.
-    assert [pt for pt in down if pt[-1] == 0] == [(0, 0)]
-    assert [pt for pt in down if pt[-1] == 1] == [(0, 1), (1, 1)]
-    assert shifted_cone_lattice_points(segment(0, F(2, 3)), 1, 2, -1) == []
-    with pytest.raises(InputError):
-        shifted_cone_lattice_points(segment(0, F(2, 3)), 3, 2, 1)
-    with pytest.raises(PreconditionError):
-        shifted_cone_lattice_points(segment(1, 2), 0, 2, 1)

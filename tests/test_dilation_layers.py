@@ -7,8 +7,9 @@ shifted down by i/d holds the points of the (t + i/d)-dilate at height t.
 Segments and polygons containing the origin are drawn with d <= 12, H <= 4.
 
 The one-pass ``decompose_sigma`` is compared with the sum over the d layers
-of each layer's indicator series times that of the shifted cone, built from
-the two helpers, on polygons with d <= 60.
+of each layer's indicator series times that of the shifted cone, the layers
+from ``shifted_envelope_lattice_points`` and the shifted cones from the box
+scan, on polygons with d <= 60.
 """
 
 from __future__ import annotations
@@ -24,15 +25,13 @@ from freesum import (
     TruncatedSeries,
     decompose_sigma,
     dual_denominator,
-    min_dilation,
     series_mul,
-    shifted_cone_lattice_points,
     shifted_envelope_lattice_points,
 )
-from freesum.errors import InputError, PreconditionError
+from freesum.errors import PreconditionError
 from freesum.polytopes import lattice_points_in_scaled, lattice_points_with_dilation
 
-from conftest import F, poly, segment
+from conftest import F, indicator_series, min_dilation, poly
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -91,15 +90,6 @@ def test_layers_match_dilate_differences(p, bound):
 
 
 @layer_settings
-@given(polytopes_with_origin(), st.integers(0, 4), st.integers(1, 12), st.data())
-def test_shifted_cone_matches_fractional_dilates(p, bound, den, data):
-    index = data.draw(st.integers(0, den))
-    assert shifted_cone_lattice_points(p, index, den, bound) == oracle_shifted_cone(
-        p, index, den, bound
-    )
-
-
-@layer_settings
 @given(polytopes_with_origin(), st.integers(0, 4))
 def test_least_dilation_is_on_the_dual_grid(p, bound):
     d = dual_denominator(p)
@@ -114,10 +104,6 @@ def test_dilation_helpers_require_origin():
     p = poly(2, (1, 0), (2, 1))
     with pytest.raises(PreconditionError):
         lattice_points_with_dilation(p, 2)
-    with pytest.raises(PreconditionError):
-        min_dilation(p, (1, 0))
-    with pytest.raises(InputError):
-        min_dilation(segment(-1, 1), (0, 0))
 
 
 @st.composite
@@ -141,10 +127,10 @@ def layered_assembly(j: RationalPolytope, k: RationalPolytope, bound: int) -> Tr
     """Sum over i < d(J) of the i-th envelope layer of cone(J) times cone(K)
     shifted down by i/d(J), as indicator series."""
     d = dual_denominator(j)
-    total = TruncatedSeries.zero(4, bound)
+    total = TruncatedSeries(4, bound, {})
     for i in range(d):
-        envelope = TruncatedSeries.indicator(4, bound, shifted_envelope_lattice_points(j, i, bound))
-        shifted = TruncatedSeries.indicator(4, bound, shifted_cone_lattice_points(k, i, d, bound))
+        envelope = indicator_series(4, bound, shifted_envelope_lattice_points(j, i, bound))
+        shifted = indicator_series(4, bound, oracle_shifted_cone(k, i, d, bound))
         total = total + series_mul(envelope, shifted)
     return total
 

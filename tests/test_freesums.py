@@ -26,7 +26,6 @@ from freesum import (
     lambda_p,
     lattice_basis_of_span,
     sigma_cone,
-    specialize_to_univariate,
 )
 from freesum.errors import ClassificationError, InternalCheckError, PreconditionError
 from freesum.linalg import qvec, rational_nullspace, rational_rank
@@ -39,9 +38,11 @@ from conftest import (
     break_split,
     corpus_pairs,
     diamond,
+    epsilon_project,
     poly,
     pos_hull_membership,
     segment,
+    specialize_to_univariate,
 )
 
 
@@ -161,7 +162,7 @@ def test_braun_multivariate_octahedron():
     w = classify_sum(diamond(3, (0, 1)), axis_seg(3, 2, -1, 1))
     verdict = check_braun_multivariate(w, 8)
     assert verdict.holds_up_to_bound
-    assert verdict.residual.is_zero()
+    assert not verdict.residual.terms
 
 
 def test_braun_multivariate_cross():
@@ -176,7 +177,7 @@ def test_braun_fails_for_twothirds_pair():
     b = axis_seg(2, 1, 0, F(2, 3))
     verdict = check_braun_multivariate(classify_sum(a, b), 5)
     assert not verdict.holds_up_to_bound
-    assert not verdict.residual.is_zero()
+    assert verdict.residual.terms
     assert not verdict.residual.has_negative_coefficient()
     by_height = specialize_to_univariate(verdict.residual)
     assert by_height.coefficients[3] == 1
@@ -461,7 +462,7 @@ def test_braun_specialization_commutes():
 def test_decomposition_check_octahedron():
     w = classify_sum(diamond(3, (0, 1)), axis_seg(3, 2, -1, 1))
     report = decomposition_check(w.j, w.k, w.intersection_point, 6)
-    assert report.ok
+    assert not report.violations
     assert report.points_checked > 100
 
 
@@ -469,14 +470,14 @@ def test_decomposition_check_affine_cross():
     j, k = cross_summands()
     w = classify_sum(j, k)
     report = decomposition_check(w.j, w.k, w.intersection_point, 6)
-    assert report.ok
+    assert not report.violations
 
 
 def test_decomposition_check_point_summands():
     origin = poly(2, (0, 0))
     w = classify_sum(origin, origin)
     report = decomposition_check(w.j, w.k, w.intersection_point, 5)
-    assert report.ok
+    assert not report.violations
     assert report.points_checked == 6
 
 
@@ -562,8 +563,6 @@ def test_decomposition_check_matches_bruteforce(case, bound):
     origin the one-pass ``decompose_sigma`` counts the same splits, and none
     off the hull cone.
     """
-    from freesum.cones import epsilon_project
-
     j, k, p = case
     cone_j = cone_over(j)
     hull_cone = cone_over(hull_union(j, k))

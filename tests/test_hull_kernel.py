@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from freesum import RationalPolytope, halfspace_rep, polar_dual
 from freesum.errors import InputError
-from freesum.linalg import in_convex_hull, in_pos_hull
+from freesum.linalg import in_pos_hull
 from freesum.polytopes import _affine_data, _facet_scan
+
+from conftest import in_convex_hull
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 

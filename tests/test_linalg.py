@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from freesum.errors import InputError
 from freesum.linalg import (
@@ -13,13 +15,31 @@ from freesum.linalg import (
     LatticeBasis,
     complementary_in,
     hnf,
-    in_convex_hull,
     in_pos_hull,
     lattice_basis_of_span,
     snf,
 )
 
-from conftest import F, oracle_complementary, pos_hull_membership
+from conftest import (
+    F,
+    in_convex_hull,
+    oracle_complementary,
+    pos_hull_membership,
+    standard_lattice,
+)
+
+
+def mat(m: IntMatrix) -> Matrix:
+    return Matrix(m.rows, m.cols, [x for row in m.entries for x in row])
+
+
+def random_matrices(seed: int, count: int, entry: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        yield IntMatrix.from_rows(
+            [[rng.randint(-entry, entry) for _ in range(cols)] for _ in range(rows)]
+        )
 
 
 def test_hnf_identity():
@@ -32,8 +52,8 @@ def test_hnf_identity():
 def test_hnf_example_reconstruction():
     m = IntMatrix.from_rows([[2, 4], [1, 3]])
     h, u = hnf(m)
-    assert (u * m).entries == h.entries
-    assert abs(u.det()) == 1
+    assert mat(u) * mat(m) == mat(h)
+    assert abs(mat(u).det()) == 1
     # Canonical form: positive pivots, entry above the second pivot reduced.
     assert h.entries == ((1, 1), (0, 2))
 
@@ -49,15 +69,15 @@ def test_snf_identity():
     m = IntMatrix.identity(3)
     u, d, v = snf(m)
     assert d.entries == m.entries
-    assert (u * m * v).entries == d.entries
+    assert mat(u) * mat(m) * mat(v) == mat(d)
 
 
 def test_snf_divisibility_example():
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
     u, d, v = snf(m)
     assert d.entries == ((1, 0), (0, 6))
-    assert (u * m * v).entries == d.entries
-    assert abs(u.det()) == 1 and abs(v.det()) == 1
+    assert mat(u) * mat(m) * mat(v) == mat(d)
+    assert abs(mat(u).det()) == 1 and abs(mat(v).det()) == 1
 
 
 def test_snf_zero_one_by_one():
@@ -68,16 +88,11 @@ def test_snf_zero_one_by_one():
 
 
 def test_snf_random_reconstruction():
-    rng = random.Random(7)
-    for _ in range(40):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        m = IntMatrix.from_rows(
-            [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        )
+    for m in random_matrices(7, 40, 6):
+        rows, cols = m.rows, m.cols
         u, d, v = snf(m)
-        assert (u * m * v).entries == d.entries
-        assert abs(u.det()) == 1 and abs(v.det()) == 1
+        assert mat(u) * mat(m) * mat(v) == mat(d)
+        assert abs(mat(u).det()) == 1 and abs(mat(v).det()) == 1
         diag = [d.entries[i][i] for i in range(min(rows, cols))]
         for i in range(len(diag)):
             for jj in range(i + 1, len(diag)):
@@ -91,16 +106,32 @@ def test_snf_random_reconstruction():
 
 
 def test_hnf_random_reconstruction():
-    rng = random.Random(11)
-    for _ in range(40):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        m = IntMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        )
+    for m in random_matrices(11, 40, 9):
         h, u = hnf(m)
-        assert (u * m).entries == h.entries
-        assert abs(u.det()) == 1
+        assert mat(u) * mat(m) == mat(h)
+        assert abs(mat(u).det()) == 1
+
+
+def test_snf_diagonal_matches_sympy():
+    for m in random_matrices(5, 300, 9):
+        _, d, _ = snf(m)
+        theirs = smith_normal_form(mat(m), domain=ZZ)
+        size = min(m.rows, m.cols)
+        assert [d.entries[i][i] for i in range(size)] == [abs(theirs[i, i]) for i in range(size)]
+
+
+def test_hnf_rows_generate_the_sympy_lattice():
+    # sympy's HNF is a column form whose layout differs from ours, so the two
+    # are compared as lattices: generating sets of one lattice share one
+    # sympy HNF.  Zero rows sink below the nonzero ones.
+    for m in random_matrices(13, 300, 9):
+        h, _ = hnf(m)
+        nonzero = [row for row in h.entries if any(row)]
+        assert not any(any(row) for row in h.entries[len(nonzero):])
+        basis = hermite_normal_form(mat(m).T).T
+        assert len(nonzero) == basis.rows
+        if nonzero:
+            assert hermite_normal_form(Matrix(nonzero).T) == hermite_normal_form(basis.T)
 
 
 def test_saturation_axis_line():
@@ -131,14 +162,14 @@ def test_saturation_idempotent():
 
 
 def test_complementary_coordinate_axes():
-    target = LatticeBasis.standard(2)
+    target = standard_lattice(2)
     a = lattice_basis_of_span([(1, 0)], 2)
     b = lattice_basis_of_span([(0, 1)], 2)
     assert complementary_in(target, a, b) is True
 
 
 def test_complementary_skew_pair():
-    target = LatticeBasis.standard(2)
+    target = standard_lattice(2)
     a = LatticeBasis(2, ((1, 0),))
     b = LatticeBasis(2, ((1, 1),))
     assert complementary_in(target, a, b) is True
@@ -146,21 +177,21 @@ def test_complementary_skew_pair():
 
 def test_not_complementary_index_two():
     # The span lattices of the non-free-sum segments: (0,1) has no splitting.
-    target = LatticeBasis.standard(2)
+    target = standard_lattice(2)
     a = LatticeBasis(2, ((1, 0),))
     b = LatticeBasis(2, ((1, 2),))
     assert complementary_in(target, a, b) is False
 
 
 def test_not_complementary_unsaturated():
-    target = LatticeBasis.standard(2)
+    target = standard_lattice(2)
     a = LatticeBasis(2, ((1, 0),))
     b = LatticeBasis(2, ((2, 4),))
     assert complementary_in(target, a, b) is False
 
 
 def test_complementary_inside_plane_of_z3():
-    target = LatticeBasis.standard(3)
+    target = standard_lattice(3)
     a = LatticeBasis(3, ((2, 1, 0),))
     b = LatticeBasis(3, ((1, 1, 0),))
     assert complementary_in(target, a, b) is True
@@ -176,7 +207,7 @@ def test_complementary_rejects_uncontained():
 
 def test_complementary_matches_bruteforce():
     rng = random.Random(19)
-    target = LatticeBasis.standard(2)
+    target = standard_lattice(2)
     checked = 0
     while checked < 25:
         avec = tuple(rng.randint(-2, 2) for _ in range(2))

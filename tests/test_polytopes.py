@@ -17,13 +17,12 @@ from freesum import (
     is_lattice_polyhedron,
     is_reflexive,
     lattice_points_in_dilate,
-    min_dilation,
     polar_dual,
 )
 from freesum.errors import InputError, PreconditionError
-from freesum.linalg import in_convex_hull, qvec
+from freesum.linalg import qvec
 
-from conftest import F, diamond, oracle_count_dilate, poly, segment
+from conftest import F, diamond, in_convex_hull, min_dilation, oracle_count_dilate, poly, segment
 
 
 def test_vertex_irredundancy_enforced():

@@ -12,19 +12,22 @@ from freesum import (
     cone_over,
     delta_polynomial,
     ehrhart_series,
-    geometric_series,
-    lattice_points_in_dilate,
-    quasipolynomial,
     series_mul,
-    shifted_cone_lattice_points,
     shifted_envelope_lattice_points,
     sigma_cone,
-    specialize_to_univariate,
 )
 from freesum.errors import InputError, TruncationError
 from freesum.series import poly_divmod, poly_mul, poly_pow
 
-from conftest import F, diamond, oracle_count_dilate, poly, segment
+from conftest import (
+    F,
+    diamond,
+    geometric_series,
+    poly,
+    segment,
+    series_one,
+    specialize_to_univariate,
+)
 
 
 def octahedron():
@@ -56,7 +59,7 @@ def test_sigma_matches_closed_form_second_summand():
     # Four-term numerator over two geometric factors.
     k = poly(2, (F(1, 2), -1), (F(1, 2), 1))
     s = sigma_cone(cone_over(k), 8)
-    numerator = TruncatedSeries.from_terms(
+    numerator = TruncatedSeries(
         3, 8, {(0, 0, 0): 1, (1, -1, 2): 1, (1, 0, 2): 1, (1, 1, 2): 1}
     )
     closed = series_mul(
@@ -68,7 +71,7 @@ def test_sigma_matches_closed_form_second_summand():
 
 def test_sigma_height_zero():
     s = sigma_cone(cone_over(diamond()), 0)
-    assert s == TruncatedSeries.one(3, 0)
+    assert s == series_one(3, 0)
 
 
 def test_sigma_coefficients_are_zero_one():
@@ -79,25 +82,25 @@ def test_sigma_coefficients_are_zero_one():
 
 def test_series_mul_identity():
     s = sigma_cone(cone_over(diamond()), 4)
-    assert series_mul(s, TruncatedSeries.one(3, 4)) == s
+    assert series_mul(s, series_one(3, 4)) == s
 
 
 def test_series_mul_hand_expansion():
-    a = TruncatedSeries.from_terms(2, 2, {(0, 0): 1, (1, 1): 1})
-    b = TruncatedSeries.from_terms(2, 2, {(0, 0): 1, (-1, 1): 1})
+    a = TruncatedSeries(2, 2, {(0, 0): 1, (1, 1): 1})
+    b = TruncatedSeries(2, 2, {(0, 0): 1, (-1, 1): 1})
     product = series_mul(a, b)
     assert product.terms == {(0, 0): 1, (1, 1): 1, (-1, 1): 1, (0, 2): 1}
 
 
 def test_series_mul_rejects_mismatched_arity():
-    a = TruncatedSeries.one(2, 3)
-    b = TruncatedSeries.one(3, 3)
+    a = series_one(2, 3)
+    b = series_one(3, 3)
     with pytest.raises(InputError):
         series_mul(a, b)
 
 
 def test_apply_one_minus_monomial_basics():
-    one = TruncatedSeries.one(2, 3)
+    one = series_one(2, 3)
     s = apply_one_minus_monomial(one, (0, 1))
     assert s.terms == {(0, 0): 1, (0, 1): -1}
     with pytest.raises(InputError):
@@ -118,7 +121,7 @@ def test_specialize_diamond():
 
 
 def test_specialize_constant():
-    assert specialize_to_univariate(TruncatedSeries.one(3, 4)).coefficients == (1, 0, 0, 0, 0)
+    assert specialize_to_univariate(series_one(3, 4)).coefficients == (1, 0, 0, 0, 0)
 
 
 def test_specialize_quarter_segment():
@@ -182,42 +185,6 @@ def test_delta_rational_segment_reconstructs():
 def test_delta_truncation_guard():
     with pytest.raises(TruncationError):
         delta_polynomial(diamond(), 3)
-
-
-def test_quasipolynomial_unit_segment():
-    qp = quasipolynomial(segment(0, 1))
-    assert qp.period == 1
-    assert qp.evaluate(7) == 8
-
-
-def test_quasipolynomial_quarter_segment():
-    qp = quasipolynomial(segment(F(1, 4), F(3, 4)))
-    assert qp.period == 4
-    counts = [len(lattice_points_in_dilate(segment(F(1, 4), F(3, 4)), k)) for k in range(9)]
-    assert counts == [1, 0, 1, 2, 3, 2, 3, 4, 5]
-    assert [qp.evaluate(k) for k in range(9)] == counts
-
-
-def test_quasipolynomial_diamond():
-    qp = quasipolynomial(diamond())
-    assert qp.period == 1
-    assert qp.constituents[0] == (F(1), F(2), F(2))
-
-
-def test_quasipolynomial_matches_oracle_counts():
-    shapes = [segment(0, F(3, 2)), poly(2, (0, 0), (F(2, 3), 0), (0, F(2, 3)))]
-    for p in shapes:
-        qp = quasipolynomial(p)
-        for k in range(8):
-            assert qp.evaluate(k) == oracle_count_dilate(p, k)
-
-
-def test_sigma_shifted_cone_downward():
-    s = TruncatedSeries.indicator(2, 3, shifted_cone_lattice_points(segment(0, F(2, 3)), 1, 2, 3))
-    assert all(e[-1] >= 0 for e in s.terms)
-    # Height t of the shifted cone carries the points of the (t + 1/2)-dilate.
-    assert {e for e in s.terms if e[-1] == 0} == {(0, 0)}
-    assert {e for e in s.terms if e[-1] == 1} == {(0, 1), (1, 1)}
 
 
 def test_sigma_cone_terms_read_only():
