@@ -15,7 +15,7 @@ from .freesums import (
     envelope_condition_check, gorenstein_affine_check, hull_union,
 )
 from .linalg import (
-    IntMatrix, LatticeBasis, complementary_in, hnf, in_pos_hull, lattice_basis_of_span, snf,
+    IntMatrix, LatticeBasis, complementary_in, hnf, in_pos_hull, lattice_basis_of_span,
 )
 from .polytopes import (
     DualPolyhedron, GorensteinData, HalfspaceRep, RationalPolytope, denominator, dual_denominator,
@@ -43,7 +43,7 @@ __all__ = [
     "decomposition_check", "envelope_condition_check", "gorenstein_affine_check", "hull_union",
     # linalg
     "IntMatrix", "LatticeBasis", "complementary_in", "hnf", "in_pos_hull",
-    "lattice_basis_of_span", "snf",
+    "lattice_basis_of_span",
     # polytopes
     "DualPolyhedron", "GorensteinData", "HalfspaceRep", "RationalPolytope", "denominator",
     "dual_denominator", "gorenstein_data", "halfspace_rep", "interior_lattice_points_in_dilate",

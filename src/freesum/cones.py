@@ -74,7 +74,8 @@ class ConeOverPolytope:
         height = Fraction(height)
         if height < 0 or height.denominator != 1:
             return []
-        return [y + (int(height),) for y in lattice_points_in_scaled(self.base, height)]
+        t = (height.numerator,)
+        return [y + t for y in lattice_points_in_scaled(self.base, height)]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -156,12 +157,6 @@ class LambdaP:
     point: QVector
     r: int
     scaled_basis: LatticeBasis
-
-    @property
-    def basis_vectors(self) -> tuple[QVector, ...]:
-        return tuple(
-            tuple(Fraction(x, self.r) for x in row) for row in self.scaled_basis.vectors
-        )
 
     def contains(self, v) -> bool:
         v = qvec(v)

@@ -1,9 +1,11 @@
 """Exact integer and rational linear algebra on plain tuples.
 
-Everything here is exact: integer vectors are tuples of ``int``, rational
-vectors are tuples of ``fractions.Fraction``.  No floating point is used
-anywhere.  The scale is small (ambient dimensions <= 5, a few dozen
-vectors), so the algorithms favour clarity and exactness over asymptotics.
+Everything here is exact and no floating point is used anywhere.  Integer
+vectors are tuples of ``int``; rational vectors may mix ``int`` and
+``fractions.Fraction``.  Elimination runs on integers: each rational row is
+scaled by the lcm of its denominators and reduced fraction-free, and
+Fractions are built only for the values a function returns.  The scale is
+small (ambient dimensions <= 5, a few dozen vectors).
 """
 
 from __future__ import annotations
@@ -21,14 +23,16 @@ QVector = tuple[Fraction, ...]
 
 def qvec(values) -> QVector:
     """Coerce a sequence of numbers into a tuple of Fractions."""
-    return tuple(Fraction(x) for x in values)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
 def clear_denominators(v) -> Vector:
     """Smallest positive integer multiple of ``v`` that is integral."""
+    if all(type(x) is int for x in v):
+        return tuple(v)
     v = qvec(v)
-    scale = math.lcm(*(x.denominator for x in v)) if v else 1
-    return tuple(int(x * scale) for x in v)
+    scale = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (scale // x.denominator) for x in v)
 
 
 def primitive_vector(v) -> Vector:
@@ -86,12 +90,27 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     positive with strictly increasing pivot columns, and every entry above a
     pivot reduced into ``[0, pivot)``.  Zero rows sink to the bottom.
     """
-    a = [list(r) for r in m.entries]
-    u = [list(r) for r in IntMatrix.identity(m.rows).entries]
+    a, u = _hnf_rows(m.entries, m.cols)
+    return _matrix(a, m.cols), _matrix(u, m.rows)
+
+
+def _matrix(rows: list[list[int]], ncols: int) -> IntMatrix:
+    return IntMatrix(len(rows), ncols, tuple(map(tuple, rows)))
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _hnf_rows(rows, ncols: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The body of ``hnf`` on lists of integer rows."""
+    a = [list(r) for r in rows]
+    nrows = len(a)
+    u = _identity_rows(nrows)
     pivot_row = 0
-    for col in range(m.cols):
+    for col in range(ncols):
         while True:
-            live = [r for r in range(pivot_row, m.rows) if a[r][col] != 0]
+            live = [r for r in range(pivot_row, nrows) if a[r][col] != 0]
             if len(live) <= 1:
                 break
             live.sort(key=lambda r: abs(a[r][col]))
@@ -100,7 +119,7 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 q = a[r][col] // a[r0][col]
                 _row_sub(a, r, r0, q)
                 _row_sub(u, r, r0, q)
-        live = [r for r in range(pivot_row, m.rows) if a[r][col] != 0]
+        live = [r for r in range(pivot_row, nrows) if a[r][col] != 0]
         if not live:
             continue
         r0 = live[0]
@@ -114,19 +133,22 @@ def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             _row_sub(a, r, pivot_row, q)
             _row_sub(u, r, pivot_row, q)
         pivot_row += 1
-    return IntMatrix.from_rows(a), IntMatrix.from_rows(u)
+    return a, u
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form.
 
     Returns ``(u, d, v)`` with ``d = u * m * v`` diagonal, diagonal entries
-    nonnegative with ``d[i] | d[i+1]``, and ``u``, ``v`` unimodular.
+    nonnegative with ``d[i] | d[i+1]``, and ``u``, ``v`` unimodular.  No
+    module of the package calls it (lattice saturation takes kernels from
+    Hermite forms), so it is not exported; it stays because the benchmark's
+    tracer wraps it.
     """
     a = [list(r) for r in m.entries]
     nr, nc = m.rows, m.cols
-    u = [list(r) for r in IntMatrix.identity(nr).entries]
-    v = [list(r) for r in IntMatrix.identity(nc).entries]
+    u = _identity_rows(nr)
+    v = _identity_rows(nc)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -194,57 +216,66 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             t = max(t - 1, 0)
         else:
             t += 1
-    return IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v)
+    return _matrix(u, nr), _matrix(a, nc), _matrix(v, nc)
 
 
 def integer_kernel(rows: list[Vector], ncols: int) -> list[Vector]:
     """Basis of ``{x in Z^ncols : row . x = 0 for every row}``.
 
-    The returned vectors generate the full (saturated) kernel lattice.
+    The returned vectors generate the full (saturated) kernel lattice: with
+    ``h = u A^T`` the Hermite form of the transposed rows, they are the rows
+    of the unimodular ``u`` at the zero rows of ``h``.
     """
     if not rows:
-        return [tuple(r) for r in IntMatrix.identity(ncols).entries]
-    m = IntMatrix.from_rows(rows)
-    _, d, v = snf(m)
-    rank = sum(1 for i in range(min(d.rows, d.cols)) if d.entries[i][i] != 0)
-    cols = list(zip(*v.entries))
-    return [tuple(c) for c in cols[rank:]]
+        return [tuple(r) for r in _identity_rows(ncols)]
+    h, u = _hnf_rows(list(zip(*rows)), len(rows))
+    return [tuple(ur) for hr, ur in zip(h, u) if not any(hr)]
 
 
 # ---------------------------------------------------------------------------
-# Rational Gaussian elimination
+# Fraction-free Gaussian elimination
 # ---------------------------------------------------------------------------
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    a = [list(r) for r in rows]
+def _echelon(rows) -> tuple[list[Vector], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of rational rows, each first
+    scaled to a primitive integer row.
+
+    A row is eliminated against the pivot row by cross-multiplying, as in
+    Bareiss's integer-preserving elimination (Math. Comp. 22, 1968), and then
+    divided by its gcd rather than by the previous pivot, so every entry
+    stays an integer and small.  Returns the rows and the pivot columns: row
+    i has a positive entry at ``pivots[i]`` and zeros at the other pivot
+    columns, so row i divided by that entry is row i of the reduced row
+    echelon form; the rows after the pivot rows are zero.  Every row is
+    primitive, so the pivot rows depend only on the row space.
+    """
+    a = [primitive_vector(row) for row in rows]
     pivots: list[int] = []
-    pr = 0
     ncols = len(a[0]) if a else 0
     for col in range(ncols):
-        pivot = next((r for r in range(pr, len(a)) if a[r][col] != 0), None)
+        pr = len(pivots)
+        pivot = next((r for r in range(pr, len(a)) if a[r][col]), None)
         if pivot is None:
             continue
         a[pr], a[pivot] = a[pivot], a[pr]
-        inv = a[pr][col]
-        a[pr] = [x / inv for x in a[pr]]
-        for r in range(len(a)):
-            if r != pr and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[pr])]
+        prow = a[pr]
+        p = prow[col]
+        for r, row in enumerate(a):
+            f = row[col]
+            if f and r != pr:
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)
+                a[r] = [x // g for x in row] if g else row
         pivots.append(col)
-        pr += 1
+    for r, col in enumerate(pivots):
+        if a[r][col] < 0:
+            a[r] = [-x for x in a[r]]
     return a, pivots
 
 
 def rational_rank(rows) -> int:
-    rows = [list(qvec(r)) for r in rows]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    _, pivots = _rref(rows)
-    return len(pivots)
+    return len(_echelon(rows)[1])
 
 
 def solve_linear(rows, rhs) -> QVector | None:
@@ -252,52 +283,43 @@ def solve_linear(rows, rhs) -> QVector | None:
 
     Free variables, if any, are set to zero.
     """
-    rows = [list(qvec(r)) for r in rows]
-    rhs = list(qvec(rhs))
     if len(rows) != len(rhs):
         raise InputError("system shape mismatch")
-    ncols = len(rows[0]) if rows else 0
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    if not aug:
+    if not rows:
         return ()
-    red, pivots = _rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
+    ncols = len(rows[0])
+    red, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        if col == ncols:
-            return None
-        x[col] = red[i][ncols]
+    for row, col in zip(red, pivots):
+        x[col] = Fraction(row[ncols], row[col])
     return tuple(x)
 
 
 def rational_nullspace(rows, ncols: int) -> list[QVector]:
     """Basis of the rational solution space of ``rows @ x = 0``."""
-    rows = [list(qvec(r)) for r in rows if any(Fraction(x) != 0 for x in r)]
-    if not rows:
-        return [qvec([1 if i == j else 0 for j in range(ncols)]) for i in range(ncols)]
-    red, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    red, pivots = _echelon(rows)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         x = [Fraction(0)] * ncols
         x[f] = Fraction(1)
-        for i, col in enumerate(pivots):
-            x[col] = -red[i][f]
+        for row, col in zip(red, pivots):
+            x[col] = Fraction(-row[f], row[col])
         basis.append(tuple(x))
     return basis
 
 
 def invert_rational(rows) -> list[QVector]:
     """Exact inverse of a square rational matrix, as a list of rows."""
-    a = [list(qvec(r)) for r in rows]
-    n = len(a)
-    aug = [a[i] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    red, pivots = _rref(aug)
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    red, pivots = _echelon(aug)
     if pivots != list(range(n)):
         raise InputError("matrix is singular")
-    return [tuple(row[n:]) for row in red]
+    return [tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(red)]
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +347,6 @@ class LatticeBasis:
 
     def coordinates(self, point) -> QVector | None:
         """Rational coordinates of ``point`` in this basis, or None if off-span."""
-        point = qvec(point)
         if len(point) != self.ambient_dim:
             raise InputError("point has wrong dimension")
         if not self.vectors:
@@ -349,12 +370,8 @@ class LatticeBasis:
 
 def canonical_basis(rows, ambient_dim: int) -> LatticeBasis:
     """HNF-canonical LatticeBasis for the lattice generated by integer rows."""
-    rows = [tuple(int(x) for x in r) for r in rows]
-    if not rows:
-        return LatticeBasis(ambient_dim, ())
-    h, _ = hnf(IntMatrix.from_rows(rows))
-    nonzero = tuple(r for r in h.entries if any(r))
-    return LatticeBasis(ambient_dim, nonzero)
+    h, _ = _hnf_rows([[int(x) for x in r] for r in rows], ambient_dim)
+    return LatticeBasis(ambient_dim, tuple(tuple(r) for r in h if any(r)))
 
 
 def lattice_basis_of_span(vectors, ambient_dim: int) -> LatticeBasis:
@@ -364,8 +381,7 @@ def lattice_basis_of_span(vectors, ambient_dim: int) -> LatticeBasis:
     vectors: computed as the integer kernel of the integer kernel of the
     primitive generators.
     """
-    rows = [primitive_vector(v) for v in vectors]
-    rows = [r for r in rows if any(r)]
+    rows = [r for r in map(primitive_vector, vectors) if any(r)]
     if not rows:
         return LatticeBasis(ambient_dim, ())
     complement = integer_kernel(rows, ambient_dim)

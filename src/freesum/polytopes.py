@@ -1,10 +1,11 @@
 """Rational polytopes: exact facet descriptions, polar duals, lattice points.
 
 A polytope is stored by its irredundant vertex list in Q^n.  Each point set
-gets one facet scan (``_affine_data``), and every geometric view reads from
-it: the vertex test, the integer cone description used for membership and
-enumeration, the facet functionals relative to the linear span, and the
-polar dual.  ``translate`` and ``dilate`` move the scan with the polytope.
+gets one facet scan (``_affine_data``), on ints, and every geometric view
+reads from it: the vertex test, the integer cone description used for
+membership and enumeration, the facet functionals relative to the linear
+span, and the polar dual.  ``from_points`` keeps the scan for the vertices
+it returns, and ``translate`` and ``dilate`` move it with the polytope.
 Lattice points of a dilate are enumerated in integer coordinates of its
 affine lattice (``_slice_frame``), on plain ints, with no candidate that
 fails a facet.
@@ -23,6 +24,7 @@ from .linalg import (
     LatticeBasis,
     QVector,
     Vector,
+    _echelon,
     clear_denominators,
     hnf,
     invert_rational,
@@ -50,7 +52,7 @@ class RationalPolytope:
                 raise InputError("vertex dimension mismatch")
         if len(set(self.vertices)) != len(self.vertices):
             raise InputError("vertex list has duplicates")
-        for v, is_vertex in zip(self.vertices, _affine_data(self.vertices)[2]):
+        for v, is_vertex in zip(self.vertices, _affine_data(self.vertices)[1]):
             if not is_vertex:
                 raise InputError(f"vertex list is redundant at {v}")
 
@@ -62,8 +64,12 @@ class RationalPolytope:
             raise InputError("a polytope needs at least one point")
         if any(len(p) != dim for p in pts):
             raise InputError("vertex dimension mismatch")
-        is_vertex = _affine_data(pts)[2]
-        return cls(dim, tuple(p for p, keep in zip(pts, is_vertex) if keep))
+        basis, is_vertex, facets = _affine_data(pts)
+        vertices = tuple(p for p, keep in zip(pts, is_vertex) if keep)
+        if len(vertices) < len(pts):
+            # The vertices span the same hull: same facets, same basis.
+            _store(vertices, (basis, (True,) * len(vertices), facets))
+        return cls(dim, vertices)
 
     @property
     def affine_dim(self) -> int:
@@ -83,18 +89,16 @@ class RationalPolytope:
 
     def _image(self, factor: Fraction, shift: QVector) -> RationalPolytope:
         """Image under x -> factor*x + shift, with its facet data moved from
-        this polytope's instead of scanned again: coordinates relative to v0
-        are unchanged, the basis scales by the factor, the facet normals by
-        its inverse, and each offset moves by the new normal applied to the
-        shift."""
+        this polytope's instead of scanned again: the direction space, and
+        with it the basis, is unchanged, and a facet row (c, c0) with
+        c.x + c0 <= 0 becomes (c, factor*c0 - c.shift), made primitive."""
         vertices = tuple(tuple(factor * a + s for a, s in zip(v, shift)) for v in self.vertices)
-        _, basis, is_vertex, ambient = _affine_data(self.vertices)
-        facets = []
-        for c, c0 in ambient:
-            c = tuple(a / factor for a in c)
-            facets.append((c, c0 + sum(a * s for a, s in zip(c, shift))))
-        basis = tuple(tuple(factor * a for a in b) for b in basis)
-        _AFFINE_DATA.setdefault(vertices, (vertices[0], basis, is_vertex, tuple(facets)))
+        basis, is_vertex, rows = _affine_data(self.vertices)
+        moved = sorted(
+            primitive_vector(row[:-1] + (factor * row[-1] - sum(a * s for a, s in zip(row, shift)),))
+            for row in rows
+        )
+        _store(vertices, (basis, is_vertex, tuple(moved)))
         return RationalPolytope(self.dim, vertices)
 
     def contains(self, point) -> bool:
@@ -150,92 +154,97 @@ def denominator(p: RationalPolytope) -> int:
     return math.lcm(*dens) if dens else 1
 
 
-def _facets_full_dim(points: list[QVector], d: int) -> list[tuple[Vector, int]]:
-    """Irredundant facets of a full-dimensional hull in R^d.
-
-    Returns primitive integer pairs (c, c0) with the polytope contained in
-    ``c . x <= c0`` and each hyperplane spanned by d affinely independent
-    input points.
-    """
-    if d == 0:
-        return []
-    seen: dict[tuple, tuple[Vector, int]] = {}
-    for subset in itertools.combinations(points, d):
-        rows = [list(x) + [Fraction(-1)] for x in subset]
-        null = rational_nullspace(rows, d + 1)
-        if len(null) != 1:
-            continue
-        normal = null[0]
-        sides = [sum(c * x for c, x in zip(normal[:d], p)) - normal[d] for p in points]
-        if all(s <= 0 for s in sides):
-            pass
-        elif all(s >= 0 for s in sides):
-            normal = tuple(-x for x in normal)
-        else:
-            continue
-        key = primitive_vector(normal)
-        seen[key] = (key[:d], key[d])
-    return sorted(seen.values())
-
-
 _AFFINE_DATA: dict[tuple[QVector, ...], tuple] = {}
+_AFFINE_DATA_SIZE = 4096
+
+
+def _store(points: tuple[QVector, ...], data: tuple) -> None:
+    """Keep the facet data of a point set, evicting the oldest entry past
+    ``_AFFINE_DATA_SIZE``."""
+    _AFFINE_DATA[points] = data
+    if len(_AFFINE_DATA) > _AFFINE_DATA_SIZE:
+        del _AFFINE_DATA[next(iter(_AFFINE_DATA))]
 
 
 def _affine_data(points: tuple[QVector, ...]):
     """The facet scan of conv(points), run once per point set.
 
-    Returns (v0, direction_basis_rows, is_vertex, ambient_facets).  A point
-    is a vertex iff the normals of the facets tight at it have rank equal to
-    the affine dimension d (for d = 0 every point passes).  Ambient facets
-    are rational pairs (c, c0) with conv(points) = {x in aff : c.x <= c0}.
-    ``translate`` and ``dilate`` store the moved data of their image here
-    instead of scanning again.
+    Returns (direction_basis_rows, is_vertex, facet_rows).  The basis is the
+    reduced row echelon form of the direction space with each row made
+    primitive.  Each facet row h is primitive and integral, zero off the
+    basis's pivot columns and the last entry, with conv(points) =
+    {x in aff : h . (x, 1) <= 0}.  A point is a vertex iff the facets tight
+    at it have normals of rank equal to the affine dimension d (for d = 0
+    every point passes).  ``from_points``, ``translate`` and ``dilate``
+    store the data of the polytope they build instead of scanning again.
     """
     data = _AFFINE_DATA.get(points)
     if data is None:
-        data = _AFFINE_DATA[points] = _facet_scan(points)
+        data = _facet_scan(points)
+        _store(points, data)
     return data
 
 
-def _facet_scan(points: tuple[QVector, ...]):
-    """The uncached body of ``_affine_data``."""
-    v0 = points[0]
-    # Row-reduce the directions to a rational basis of the direction space.
-    basis: list[QVector] = []
-    for v in points[1:]:
-        dv = tuple(a - b for a, b in zip(v, v0))
-        if rational_rank(basis + [dv]) > len(basis):
-            basis.append(qvec(dv))
-    d = len(basis)
-    n = len(v0)
-    gram = [[sum(x * y for x, y in zip(u, w)) for w in basis] for u in basis]
-    ginv = invert_rational(gram)
-    coord_map = [
-        tuple(sum(ginv[i][k] * basis[k][j] for k in range(d)) for j in range(n))
-        for i in range(d)
-    ]
-
-    def coords(point: QVector) -> QVector:
-        delta = tuple(a - b for a, b in zip(point, v0))
-        return tuple(sum(m * x for m, x in zip(row, delta)) for row in coord_map)
-
-    point_coords = [coords(v) for v in points]
-    facets = _facets_full_dim(point_coords, d)
-    is_vertex = tuple(
-        rational_rank([c for c, c0 in facets if sum(a * b for a, b in zip(c, x)) == c0]) == d
-        for x in point_coords
+def _cofactors(rows: list[list[int]]) -> tuple[int, ...]:
+    """Signed maximal minors of a (d-1) x d integer matrix: a normal of the
+    rows' span, zero when they are dependent."""
+    return tuple(
+        (-1) ** j * _det([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)
     )
-    ambient = []
-    for c, c0 in facets:
-        c_amb = tuple(sum(Fraction(c[i]) * coord_map[i][j] for i in range(d)) for j in range(n))
-        offset = Fraction(c0) + sum(a * b for a, b in zip(c_amb, v0))
-        ambient.append((c_amb, offset))
-    return v0, tuple(basis), is_vertex, tuple(ambient)
 
 
-def direction_basis(p: RationalPolytope) -> tuple[QVector, ...]:
-    """Rational basis of the direction space of the affine hull of P."""
-    return _affine_data(p.vertices)[1]
+def _det(m: list[list[int]]) -> int:
+    """Determinant of a small square integer matrix, by cofactor expansion."""
+    if len(m) <= 1:
+        return m[0][0] if m else 1
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return sum(
+        (-1) ** j * a * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j, a in enumerate(m[0])
+        if a
+    )
+
+
+def _facet_scan(points: tuple[QVector, ...]):
+    """The uncached body of ``_affine_data``, on the points scaled by their
+    common denominator, as ints.  Points of the affine hull are fixed by
+    their pivot coordinates, so the hull is a full-dimensional polytope in
+    those d coordinates: each facet is spanned by d of the points, with the
+    cofactors of their differences as normal and every point on one side."""
+    scale = math.lcm(*(x.denominator for v in points for x in v))
+    pts = [[x.numerator * (scale // x.denominator) for x in v] for v in points]
+    red, pivots = _echelon([[a - b for a, b in zip(v, pts[0])] for v in pts[1:]])
+    d = len(pivots)
+    coords = [[v[c] for c in pivots] for v in pts]
+    facets = set()
+    for subset in itertools.combinations(coords, d) if d else ():
+        x0 = subset[0]
+        normal = _cofactors([[a - b for a, b in zip(x, x0)] for x in subset[1:]])
+        if not any(normal):
+            continue
+        sides = [sum(a * b for a, b in zip(normal, x)) for x in coords]
+        level = sum(a * b for a, b in zip(normal, x0))
+        if max(sides) == level:
+            facets.add(primitive_vector(normal + (-level,)))
+        elif min(sides) == level:
+            facets.add(primitive_vector(tuple(-a for a in normal) + (level,)))
+    is_vertex = tuple(
+        rational_rank([f[:-1] for f in facets if sum(a * b for a, b in zip(f, x)) == -f[-1]]) == d
+        for x in coords
+    )
+    rows = []
+    for f in facets:
+        row = [0] * len(pts[0]) + [f[-1]]
+        for c, a in zip(pivots, f):
+            row[c] = scale * a
+        rows.append(primitive_vector(row))
+    return tuple(tuple(row) for row in red[:d]), is_vertex, tuple(sorted(rows))
+
+
+def direction_basis(p: RationalPolytope) -> tuple[Vector, ...]:
+    """Integer basis of the direction space of the affine hull of P."""
+    return _affine_data(p.vertices)[0]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -244,12 +253,10 @@ def cone_hrep(p: RationalPolytope) -> ConeHRep:
     n = p.dim
     gens = [v + (Fraction(1),) for v in p.vertices]
     span_rows = tuple(primitive_vector(z) for z in rational_nullspace(gens, n + 1))
-    _, _, _, ambient = _affine_data(p.vertices)
-    if not ambient:
+    facet_rows = _affine_data(p.vertices)[2]
+    if not facet_rows:
         # A single point: one halfspace cutting the ray out of its line.
-        facet_rows: tuple[Vector, ...] = (tuple(-x for x in primitive_vector(gens[0])),)
-    else:
-        facet_rows = tuple(primitive_vector(c + (-c0,)) for c, c0 in ambient)
+        facet_rows = (tuple(-x for x in primitive_vector(gens[0])),)
     return ConeHRep(n + 1, span_rows, facet_rows)
 
 

@@ -19,7 +19,10 @@ def frozen(cls):
 
     ``cls(*values)`` takes one value per field, then calls ``__post_init__``
     if the class has one; only that hook may rebind a field, through
-    ``object.__setattr__``.  Records of different classes are never equal."""
+    ``object.__setattr__``.  Records of different classes are never equal.
+    A record's hash is computed on first use and kept: records key the
+    caches, and hashing their Fraction fields again on every lookup showed
+    up in profiles."""
     names = tuple(cls.__annotations__)
     values_of = attrgetter(*names)
     post_init = hasattr(cls, "__post_init__")
@@ -39,7 +42,12 @@ def frozen(cls):
         return values_of(self) == values_of(other)
 
     def __hash__(self):
-        return hash(values_of(self))
+        try:
+            return self._frozen_hash
+        except AttributeError:
+            value = hash(values_of(self))
+            set_field(self, "_frozen_hash", value)
+            return value
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)

@@ -100,6 +100,11 @@ def specialize_to_univariate(s: TruncatedSeries) -> UnivariateSeries:
     return UnivariateSeries(s.height_bound, tuple(coeffs))
 
 
+def lambda_p_basis_vectors(lam) -> tuple:
+    """The basis of Lambda^p itself: the rows of ``lam.scaled_basis`` over r."""
+    return tuple(tuple(Fraction(x, lam.r) for x in row) for row in lam.scaled_basis.vectors)
+
+
 def rind_contains(p: RationalPolytope, x) -> bool:
     """Membership in cone(P) minus its translate by the last basis vector."""
     cone = cone_over(p)

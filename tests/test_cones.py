@@ -21,7 +21,15 @@ from freesum import (
 from freesum.errors import InputError, PreconditionError
 from freesum.linalg import in_pos_hull, qvec
 
-from conftest import F, diamond, epsilon_project, poly, rind_contains, segment
+from conftest import (
+    F,
+    diamond,
+    epsilon_project,
+    lambda_p_basis_vectors,
+    poly,
+    rind_contains,
+    segment,
+)
 
 
 def generators(p):
@@ -107,15 +115,33 @@ def test_llenv_height_zero():
     assert llenv_points(cone, (F(0), F(0)), 0) == [((F(0), F(0), F(0)), True)]
 
 
-def test_llenv_matches_pointwise_projection():
-    cone = cone_over(segment(0, F(3, 2)))
-    direction = (F(0),)
+def check_llenv_against_projection(p, direction, height_bound):
+    """``llenv_points`` lists exactly the projections ``epsilon_project``
+    gives of the cone's lattice points up to the bound, with their flags."""
+    cone = cone_over(p)
     expected = {}
-    for t in range(5):
-        for y in lattice_points_in_dilate(segment(0, F(3, 2)), t):
+    for t in range(height_bound + 1):
+        for y in lattice_points_in_dilate(p, t):
             proj = epsilon_project(cone, qvec(y) + (F(t),), direction)
             expected[proj] = all(c.denominator == 1 for c in proj)
-    assert dict(llenv_points(cone, direction, 4)) == expected
+    assert dict(llenv_points(cone, direction, height_bound)) == expected
+
+
+def test_llenv_matches_pointwise_projection():
+    check_llenv_against_projection(segment(0, F(3, 2)), (F(0),), 4)
+
+
+def test_llenv_matches_projection_capped_by_two_facets():
+    """A quadrilateral with the direction point inside: each of its four
+    facets caps the drop of some lattice points, so taking any cap other
+    than the least one moves those projections."""
+    quad = poly(2, (-1, -1), (2, -1), (1, 2), (-1, 1))
+    direction = (F(1, 3), F(1, 4))
+    cone = cone_over(quad)
+    ap = qvec(direction) + (F(1),)
+    capping = [h for h in cone.hrep.facet_rows if sum(a * b for a, b in zip(h, ap)) < 0]
+    assert len(capping) == 4
+    check_llenv_against_projection(quad, direction, 3)
 
 
 def test_shifted_envelopes_wide_interval():
@@ -212,7 +238,7 @@ def test_lambda_p_half():
 def test_lambda_p_integral_point():
     lam = lambda_p((F(2), F(-1)))
     assert lam.r == 1
-    assert lam.basis_vectors == ((F(1), F(0)), (F(0), F(1)))
+    assert lambda_p_basis_vectors(lam) == ((F(1), F(0)), (F(0), F(1)))
 
 
 def in_cosets(p, v) -> bool:

@@ -14,10 +14,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import freesum.polytopes
 from freesum import RationalPolytope, halfspace_rep, polar_dual
 from freesum.errors import InputError
-from freesum.linalg import in_pos_hull
-from freesum.polytopes import _affine_data, _facet_scan
+from freesum.linalg import in_pos_hull, qvec
+from freesum.polytopes import (
+    _AFFINE_DATA,
+    _AFFINE_DATA_SIZE,
+    _affine_data,
+    _facet_scan,
+    cone_hrep,
+)
 
 from conftest import in_convex_hull
 
@@ -142,3 +149,67 @@ def test_translate_and_dilate_move_the_scan(case, shift, factor):
     shift = shift[:dim]
     for moved in (p.translate(shift), p.dilate(factor), p.dilate(factor).translate(shift)):
         assert _affine_data(moved.vertices) == _facet_scan(moved.vertices)
+
+
+@kernel_settings
+@given(point_sets())
+def test_from_points_scans_once(case):
+    """``from_points`` stores the data of its pruned vertex tuple from its
+    one scan; that data equals a fresh scan of the vertices."""
+    dim, points = case
+    _AFFINE_DATA.clear()
+    scans = []
+    real = freesum.polytopes._facet_scan
+
+    def counted(pts):
+        scans.append(pts)
+        return real(pts)
+
+    freesum.polytopes._facet_scan = counted
+    try:
+        p = RationalPolytope.from_points(dim, points)
+    finally:
+        freesum.polytopes._facet_scan = real
+    assert len(scans) == 1
+    assert _affine_data(p.vertices) == _facet_scan(p.vertices)
+
+
+def test_affine_data_cache_is_bounded():
+    """Past its bound the cache drops its oldest entry, and a scan after the
+    eviction gives the data it held."""
+    _AFFINE_DATA.clear()
+    segments = [((Fraction(k),), (Fraction(k + 1, 2),)) for k in range(_AFFINE_DATA_SIZE + 10)]
+    first = _affine_data(segments[0])
+    for pts in segments[1:]:
+        _affine_data(pts)
+    assert len(_AFFINE_DATA) == _AFFINE_DATA_SIZE
+    assert segments[0] not in _AFFINE_DATA
+    assert segments[-1] in _AFFINE_DATA
+    assert _facet_scan(segments[0]) == first
+    assert _affine_data(segments[0]) == first
+    assert len(_AFFINE_DATA) == _AFFINE_DATA_SIZE
+
+
+def test_cyclic_polytope_facets_follow_gale_evenness():
+    """The cyclic 3-polytope on (k, k^2, k^3), k = -12..11: all 24 points are
+    vertices, and its 44 facets are the triples that Gale's evenness
+    condition gives for odd dimension, {0, j, j+1} and {i, i+1, 23}
+    (Ziegler, Lectures on Polytopes, 0.7)."""
+    points = [(k, k * k, k**3) for k in range(-12, 12)]
+    p = RationalPolytope.from_points(3, points)
+    assert p.vertices == tuple(qvec(pt) for pt in points)
+    gale = {frozenset((0, j, j + 1)) for j in range(1, 23)}
+    gale |= {frozenset((i, i + 1, 23)) for i in range(22)}
+    assert len(gale) == 44
+    tight = set()
+    for row in cone_hrep(p).facet_rows:
+        values = [sum(a * b for a, b in zip(row, pt + (1,))) for pt in points]
+        assert all(v <= 0 for v in values)
+        tight.add(frozenset(i for i, v in enumerate(values) if v == 0))
+    assert tight == gale
+    # The origin is vertex 12 (k = 0): the facets through it give the dual's
+    # rays, the others its vertices.
+    dual = polar_dual(p)
+    through_origin = sum(12 in facet for facet in gale)
+    assert len(dual.ray_functionals) == through_origin == 4
+    assert len(dual.vertex_functionals) == 44 - through_origin

@@ -16,8 +16,12 @@ from freesum.linalg import (
     complementary_in,
     hnf,
     in_pos_hull,
+    invert_rational,
     lattice_basis_of_span,
+    rational_nullspace,
+    rational_rank,
     snf,
+    solve_linear,
 )
 
 from conftest import (
@@ -40,6 +44,69 @@ def random_matrices(seed: int, count: int, entry: int):
         yield IntMatrix.from_rows(
             [[rng.randint(-entry, entry) for _ in range(cols)] for _ in range(rows)]
         )
+
+
+def random_rational_matrices(seed: int, count: int):
+    """Rational matrices up to 5 x 6 with zeros mixed in; every third one with
+    more than two rows has its last row a combination of two others, so it
+    is rank-deficient on purpose."""
+    rng = random.Random(seed)
+    entry = lambda: rng.choice((0, F(rng.randint(-6, 6), rng.randint(1, 4))))
+    for i in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        m = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if i % 3 == 0 and rows > 2:
+            a, b = F(rng.randint(-3, 3), rng.randint(1, 3)), F(rng.randint(-3, 3), rng.randint(1, 3))
+            m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+        yield m
+
+
+def fractions_of(m: Matrix) -> list[tuple[Fraction, ...]]:
+    return [tuple(Fraction(int(x.p), int(x.q)) for x in m.row(i)) for i in range(m.rows)]
+
+
+def test_rational_rank_matches_sympy():
+    for m in random_rational_matrices(41, 300):
+        assert rational_rank(m) == Matrix(m).rank()
+
+
+def test_rational_nullspace_matches_sympy():
+    """sympy's nullspace also sets one free variable to 1 and reads the
+    pivot variables off the reduced form, free columns in order."""
+    for m in random_rational_matrices(42, 300):
+        expected = [fractions_of(v.T)[0] for v in Matrix(m).nullspace()]
+        assert rational_nullspace(m, len(m[0])) == expected
+
+
+def test_solve_linear_matches_sympy():
+    """Half the right-hand sides are images of a random point, so most
+    systems are consistent; free parameters are set to zero on both sides."""
+    rng = random.Random(43)
+    for m in random_rational_matrices(44, 300):
+        cols = len(m[0])
+        if rng.random() < 0.5:
+            x = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+            rhs = [sum(a * b for a, b in zip(row, x)) for row in m]
+        else:
+            rhs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in m]
+        try:
+            sol, params = Matrix(m).gauss_jordan_solve(Matrix(rhs))
+        except ValueError:
+            assert solve_linear(m, rhs) is None
+            continue
+        expected = fractions_of(sol.subs({t: 0 for t in params}).T)[0]
+        assert solve_linear(m, rhs) == expected
+
+
+def test_invert_rational_matches_sympy():
+    for m in random_rational_matrices(45, 300):
+        k = min(len(m), len(m[0]))
+        square = [row[:k] for row in m[:k]]
+        if Matrix(square).det() == 0:
+            with pytest.raises(InputError):
+                invert_rational(square)
+        else:
+            assert invert_rational(square) == fractions_of(Matrix(square).inv())
 
 
 def test_hnf_identity():
