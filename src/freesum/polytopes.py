@@ -94,11 +94,11 @@ class RationalPolytope:
         c.x + c0 <= 0 becomes (c, factor*c0 - c.shift), made primitive."""
         vertices = tuple(tuple(factor * a + s for a, s in zip(v, shift)) for v in self.vertices)
         basis, is_vertex, rows = _affine_data(self.vertices)
-        moved = sorted(
-            primitive_vector(row[:-1] + (factor * row[-1] - sum(a * s for a, s in zip(row, shift)),))
-            for row in rows
-        )
-        _store(vertices, (basis, is_vertex, tuple(moved)))
+        moved = []
+        for row in rows:
+            offset = factor * row[-1] - sum(a * s for a, s in zip(row, shift))
+            moved.append(primitive_vector(row[:-1] + (offset,)))
+        _store(vertices, (basis, is_vertex, tuple(sorted(moved))))
         return RationalPolytope(self.dim, vertices)
 
     def contains(self, point) -> bool:

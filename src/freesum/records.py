@@ -21,8 +21,8 @@ def frozen(cls):
     if the class has one; only that hook may rebind a field, through
     ``object.__setattr__``.  Records of different classes are never equal.
     A record's hash is computed on first use and kept: records key the
-    caches, and hashing their Fraction fields again on every lookup showed
-    up in profiles."""
+    caches, and hashing their Fraction fields again on every lookup is
+    slow."""
     names = tuple(cls.__annotations__)
     values_of = attrgetter(*names)
     post_init = hasattr(cls, "__post_init__")

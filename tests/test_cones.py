@@ -131,7 +131,7 @@ def test_llenv_matches_pointwise_projection():
     check_llenv_against_projection(segment(0, F(3, 2)), (F(0),), 4)
 
 
-def test_llenv_matches_projection_capped_by_two_facets():
+def test_llenv_matches_projection_capped_by_several_facets():
     """A quadrilateral with the direction point inside: each of its four
     facets caps the drop of some lattice points, so taking any cap other
     than the least one moves those projections."""
