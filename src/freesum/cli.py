@@ -207,13 +207,13 @@ def _run_check(args):
     if args.mode == "decompose":
         # decompose_sigma raises unless every hull point has exactly one
         # split, so a report only exists when both literals hold.
-        series = decompose_sigma(a, b, height)
+        heights = decompose_sigma(a, b, height)
         report.update(
             {
                 "dual_denominator": dual_denominator(a),
                 "matches_enumeration": True,
                 "split_violations": 0,
-                "terms": len(series.terms),
+                "terms": sum(height + 1 - h for h in heights.values()),
             }
         )
         return report, 0

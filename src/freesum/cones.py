@@ -2,11 +2,11 @@
 
 The cone over P is the set of nonnegative multiples of P embedded at height
 one.  Directional projections travel along ``alpha(p) = (p, 1)``; the
-vertical case is ``p = 0``.  For P containing the origin, the shifted lower
-envelopes of cone(P) are read off one enumeration of an integer dilate, each
-point tagged with its least dilation (``lattice_points_with_dilation``).
-``decompose_sigma`` reads the same tags in one pass;
-``shifted_envelope_lattice_points`` lists a single layer.
+vertical case is ``p = 0``.  For P containing the origin, a point y of H*P
+lies in cone(P) at each height from ceil(lambda(y)), lambda the least
+dilation, so the shifted lower envelopes, ``llenv_points`` and
+``decompose_sigma`` read one walk of H*P tagged with den * lambda
+(``tagged_lattice_points``); ``shifted_envelope_lattice_points`` lists a layer.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ from .polytopes import (
     ConeHRep,
     RationalPolytope,
     _cone_member,
-    _cone_member_strict,
     cone_hrep,
     denominator,
     dual_denominator,
     halfspace_rep,
     lattice_points_in_scaled,
-    lattice_points_with_dilation,
+    tagged_lattice_points,
 )
 from .records import frozen
 
@@ -65,10 +64,6 @@ class ConeOverPolytope:
             raise InputError("point dimension mismatch")
         return _cone_member(self.hrep, point)
 
-    def contains_interior(self, point) -> bool:
-        """Relative interior membership."""
-        return _cone_member_strict(self.hrep, point)
-
     def lattice_points_at_height(self, height) -> list[Vector]:
         """Integer points of the cone slice at a rational height >= 0."""
         height = Fraction(height)
@@ -76,6 +71,17 @@ class ConeOverPolytope:
             return []
         t = (height.numerator,)
         return [y + t for y in lattice_points_in_scaled(self.base, height)]
+
+    def lattice_points_by_height(self, height_bound: int) -> list[tuple[Vector, range]]:
+        """Pairs (y, heights): every integer y of some slice up to the bound,
+        with the heights t at which (y, t) is in the cone.  For a base with
+        the origin they run from ceil(lambda(y)) up, read off one tagged walk
+        of H*P; other bases are walked one slice at a time."""
+        heights = range(height_bound + 1)
+        if self.contains((0,) * self.base.dim + (1,)):
+            den, tagged = tagged_lattice_points(self.base, height_bound)
+            return [(y, heights[-(-m // den) :]) for y, m in tagged]
+        return [(y, heights[t : t + 1]) for t in heights for y in lattice_points_in_scaled(self.base, t)]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -97,29 +103,29 @@ def llenv_points(cone: ConeOverPolytope, p, height_bound: int) -> list[tuple[QVe
         raise InputError("direction dimension mismatch")
     if not cone.contains(ap):
         raise PreconditionError("direction point must lie in the cone", "direction-not-in-cone")
-    # Each facet h with h.alpha(p) < 0 caps the multiple of alpha(p) that a
-    # point can drop by at (h.x)/(h.alpha(p)).
+    # Each facet h with h.a < 0, a = (p, 1) cleared to integers, caps the
+    # multiple of a that a point x can drop by at (-h.x)/(-h.a).
     ap_int = clear_denominators(ap)
-    rows = []
-    for h in cone.hrep.facet_rows:
-        d = sum(a * b for a, b in zip(h, ap_int))
-        if d < 0:
-            rows.append((h, d))
+    dots = ((h, sum(a * b for a, b in zip(h, ap_int))) for h in cone.hrep.facet_rows)
+    rows = [(h[:-1], h[-1], -d) for h, d in dots if d < 0]
     if not rows:
         raise PreconditionError(
             "projection direction is not bounded by the cone", "direction-unbounded"
         )
-    scale = math.lcm(*(c.denominator for c in ap))
-    seen: dict[QVector, bool] = {}
-    for t in range(height_bound + 1):
-        for pt in cone.lattice_points_at_height(t):
-            lam = min(
-                Fraction(scale * sum(a * b for a, b in zip(h, pt)), d) for h, d in rows
-            )
-            proj = tuple(a - lam * b for a, b in zip(map(Fraction, pt), ap))
-            if proj not in seen:
-                seen[proj] = all(c.denominator == 1 for c in proj)
-    return sorted(seen.items())
+    # The projection x - (num/cap) a, least ratio first, kept as the integer
+    # vector cap*x - num*a over its reduced denominator.
+    seen = set()
+    for y, ts in cone.lattice_points_by_height(height_bound):
+        values = [(-sum(a * b for a, b in zip(c, y)), -c0, d) for c, c0, d in rows]
+        for t in ts:
+            num, cap = values[0][0] + values[0][1] * t, values[0][2]
+            for v, c0, d in values[1:]:
+                if (v + c0 * t) * cap < num * d:
+                    num, cap = v + c0 * t, d
+            vec = tuple(cap * a - num * b for a, b in zip(y + (t,), ap_int))
+            g = math.gcd(cap, *vec)
+            seen.add((cap // g, tuple(a // g for a in vec)))
+    return sorted((tuple(Fraction(a, q) for a in vec), q == 1) for q, vec in seen)
 
 
 def shifted_envelope_lattice_points(
@@ -138,12 +144,13 @@ def shifted_envelope_lattice_points(
         raise InputError(f"shift index must be in [0, {d - 1}]")
     if height_bound < 0:
         return []
-    shift = Fraction(index, d)
+    den, tagged = tagged_lattice_points(p, height_bound)
+    # t = m/den + index/d; d divides den, as den * lambda is an integer.
     out = []
-    for y, lam in lattice_points_with_dilation(p, height_bound):
-        t = lam + shift
-        if t.denominator == 1 and t <= height_bound:
-            out.append(y + (int(t),))
+    for y, m in tagged:
+        t, rest = divmod(m + index * (den // d), den)
+        if not rest and t <= height_bound:
+            out.append(y + (t,))
     return sorted(out)
 
 
@@ -228,8 +235,11 @@ def shifted_envelope_nonempty(
     if height_bound is None:
         height_bound = 4 * rho.denominator * denominator(p) * (n + 1)
     height_bound = Fraction(height_bound)
-    for y, lam in lattice_points_with_dilation(p, height_bound):
-        if (lam + s).denominator == 1:
-            witness = qvec(y) + (lam + s,)
+    den, tagged = tagged_lattice_points(p, math.ceil(height_bound))
+    limit, modulus = math.floor(height_bound * den), den * s.denominator
+    for y, m in tagged:
+        # lambda = m/den is at most the bound, and lambda + s is an integer.
+        if m <= limit and (m * s.denominator + s.numerator * den) % modulus == 0:
+            witness = qvec(y) + (Fraction(m, den) + s,)
             return ShiftSearchResult(True, witness, True, height_bound)
     return ShiftSearchResult(False, None, False, height_bound)

@@ -15,7 +15,9 @@ sums.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .cones import (
@@ -44,14 +46,15 @@ from .linalg import (
 )
 from .polytopes import (
     RationalPolytope,
+    _cone_member,
     _least_dilation,
     cone_hrep,
     denominator,
     direction_basis,
     gorenstein_data,
     is_lattice_polyhedron,
-    lattice_points_with_dilation,
     polar_dual,
+    tagged_lattice_points,
 )
 from .records import frozen
 from .series import (
@@ -221,16 +224,15 @@ def envelope_condition_check(j: RationalPolytope, p, height_bound: int) -> Envel
     return EnvelopeCondition(True, None)
 
 
-def _pair_table(
-    points_j: tuple[tuple[Vector, Fraction], ...], points_k: tuple[tuple[Vector, Fraction], ...]
-) -> tuple[int, list[tuple[Vector, int]], list[tuple[int, Vector]]]:
-    """The tagged integer points of H*J and H*K (``lattice_points_with_dilation``)
+def _pair_table(tagged_j: tuple, tagged_k: tuple) -> tuple[int, list, list]:
+    """The tagged integer points of H*J and H*K (``tagged_lattice_points``)
     with their least dilations as integers over one common denominator den:
     (den, [(y, a)], [(b, w)]), J in lex order and K sorted by b, so a loop
     over K for one y can stop at the first w that no height reaches."""
-    den = math.lcm(*(lam.denominator for _, lam in points_j + points_k))
-    scaled_j = [(y, lam.numerator * (den // lam.denominator)) for y, lam in points_j]
-    scaled_k = sorted((lam.numerator * (den // lam.denominator), w) for w, lam in points_k)
+    (den_j, points_j), (den_k, points_k) = tagged_j, tagged_k
+    den = math.lcm(den_j, den_k)
+    scaled_j = [(y, m * (den // den_j)) for y, m in points_j]
+    scaled_k = sorted((m * (den // den_k), w) for w, m in points_k)
     return den, scaled_j, scaled_k
 
 
@@ -269,13 +271,13 @@ def check_braun_multivariate(witness: FreeSumWitness, height_bound: int) -> Brau
     if witness.kind == FREE_SUM:
         if height_bound < 0:
             raise InputError("height bound must be nonnegative")
-        points_k = lattice_points_with_dilation(witness.k, height_bound)
-        points_j = ()
-        if any(lam.denominator > 1 for _, lam in points_k):
-            points_j = lattice_points_with_dilation(witness.j, height_bound)
-        if all(lam.denominator == 1 for _, lam in points_j):
-            points_j = ()  # low = high for every pair: no pair counts
-        den, scaled_j, scaled_k = _pair_table(points_j, points_k)
+        tagged_k = tagged_lattice_points(witness.k, height_bound)
+        tagged_j = (1, ())
+        if any(m % tagged_k[0] for _, m in tagged_k[1]):
+            tagged_j = tagged_lattice_points(witness.j, height_bound)
+        if not any(m % tagged_j[0] for _, m in tagged_j[1]):
+            tagged_j = (1, ())  # low = high for every pair: no pair counts
+        den, scaled_j, scaled_k = _pair_table(tagged_j, tagged_k)
         terms: dict[tuple[int, ...], int] = {}
         for y, a in scaled_j:
             ceil_a = -(-a // den)
@@ -365,26 +367,28 @@ def check_braun_univariate(
 
 def decompose_sigma(
     p: RationalPolytope, k: RationalPolytope, height_bound: int
-) -> TruncatedSeries:
-    """Assemble sigma of the hull cone from the shifted lower envelopes of
-    cone(P) and the copies of cone(K) shifted down, in one pass, and check it
-    against direct enumeration of the hull cone.
+) -> dict[Vector, int]:
+    """The first-height map z -> h(z) of the hull cone (its series up to H
+    has coefficient [h(z) <= T] at (z, T), sum(H - h(z) + 1) terms), built
+    from the shifted lower envelopes of cone(P) and the copies of cone(K)
+    shifted down, in one pass, and checked against the hull's tagged walk.
 
     With d the dual denominator of P, an integer point y of H*P lies on
     exactly one envelope layer: at height t = ceil(lambda(y)), shifted by
     the gap i/d = t - lambda(y), lambda the least dilation.  It pairs with
     the points (w, s) of cone(K) shifted down by that gap, those with
     s >= lambda_K(w) - i/d, which is t + s >= lambda(y) + lambda_K(w).  So
-    the pair (y, w) adds one to every term (y + w, T) with
-    ceil(lambda(y) + lambda_K(w)) <= T <= H, and lambda_K(w) <= H.
+    the pair (y, w) maps y + w to ceil(lambda(y) + lambda_K(w)) if that is
+    at most H, and then lambda_K(w) <= H.
 
     The check is the split check.  Classification makes span(P) and span(K)
     independent, so a hull point (z, T) has at most one real split z = y + w,
     and (y, w) is counted there iff it is integral and lambda(y) +
     lambda_K(w) <= T: ``decomposition_check``'s pass condition at p = 0.
     Each counted pair lies in cone(P) + cone(K), inside the hull cone.  So the
-    counts equal the enumeration iff no hull point lacks its split or has
-    two; a mismatch raises, since equality holds for every free sum.
+    maps are equal, with no z reached twice, iff no hull point lacks its
+    split or has two; a mismatch raises, since equality holds for every free
+    sum, and names the lex-smallest (z, T) where the two series differ.
     """
     witness = classify_sum(p, k)
     if witness.kind != FREE_SUM:
@@ -393,27 +397,27 @@ def decompose_sigma(
             "not-a-free-sum-at-origin",
         )
     den, scaled_p, scaled_k = _pair_table(
-        lattice_points_with_dilation(p, height_bound), lattice_points_with_dilation(k, height_bound)
+        tagged_lattice_points(p, height_bound), tagged_lattice_points(k, height_bound)
     )
-    terms: dict[tuple[int, ...], int] = {}
+    lows: dict[Vector, list[int]] = {}
     for y, a in scaled_p:
         for b, w in scaled_k:
             low = -((-a - b) // den)
             if low > height_bound:
                 break
-            base = tuple(u + v for u, v in zip(y, w))
-            for t in range(low, height_bound + 1):
-                key = base + (t,)
-                terms[key] = terms.get(key, 0) + 1
-    total = TruncatedSeries(p.dim + 1, height_bound, terms)
-    direct = sigma_cone(cone_over(hull_union(p, k)), height_bound)
-    if total != direct:
-        exp, splits, expected = total.first_difference(direct)
-        raise InternalCheckError(
-            f"shifted-envelope decomposition disagrees with enumeration at {exp}: "
-            f"{splits} splits, direct coefficient {expected}"
-        )
-    return total
+            lows.setdefault(tuple(map(operator.add, y, w)), []).append(low)
+    heights = {z: h[0] for z, h in lows.items()}
+    hull_den, hull_points = tagged_lattice_points(hull_union(p, k), height_bound)
+    direct = {z: -(-m // hull_den) for z, m in hull_points}
+    if sum(map(len, lows.values())) > len(lows) or heights != direct:
+        for z, t in itertools.product(sorted(lows.keys() | direct.keys()), range(height_bound + 1)):
+            splits, expected = sum(h <= t for h in lows.get(z, ())), int(direct.get(z, t + 1) <= t)
+            if splits != expected:
+                raise InternalCheckError(
+                    f"shifted-envelope decomposition disagrees with enumeration at {z + (t,)}: "
+                    f"{splits} splits, direct coefficient {expected}"
+                )
+    return heights
 
 
 def converse_search(
@@ -459,11 +463,11 @@ def gorenstein_affine_check(
     if witness.r != data.index:
         raise InternalCheckError("Gorenstein index differs from the center denominator")
     cone_p = cone_over(p)
-    shift = tuple(Fraction(x) for x in data.interior_point) + (Fraction(data.index),)
+    shift = data.interior_point + (data.index,)
     for t in range(height_bound + 1):
         for pt in cone_p.lattice_points_at_height(t):
-            interior = cone_p.contains_interior(pt)
-            translated = cone_p.contains(tuple(a - b for a, b in zip(map(Fraction, pt), shift)))
+            interior = _cone_member(cone_p.hrep, pt, strict=True)
+            translated = _cone_member(cone_p.hrep, tuple(a - b for a, b in zip(pt, shift)))
             if interior != translated:
                 raise InternalCheckError(
                     f"interior identity fails at {pt} for the Gorenstein summand"

@@ -8,7 +8,9 @@ span, and the polar dual.  ``from_points`` keeps the scan for the vertices
 it returns, and ``translate`` and ``dilate`` move it with the polytope.
 Lattice points of a dilate are enumerated in integer coordinates of its
 affine lattice (``_slice_frame``), on plain ints, with no candidate that
-fails a facet.
+fails a facet and, by Fourier-Motzkin bounds, no prefix empty over the
+reals; for P containing the origin it can tag each point with its least
+dilation, as an integer (``tagged_lattice_points``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import InconclusiveError, InputError, PreconditionError
 from .linalg import (
@@ -260,19 +264,13 @@ def cone_hrep(p: RationalPolytope) -> ConeHRep:
     return ConeHRep(n + 1, span_rows, facet_rows)
 
 
-def _cone_member(hrep: ConeHRep, point: QVector) -> bool:
+def _cone_member(hrep: ConeHRep, point, strict: bool = False) -> bool:
+    """Membership in the homogenization cone; ``strict`` asks for its
+    relative interior, every facet value negative (an integer at most -1)."""
     w = clear_denominators(point)
     if any(sum(a * b for a, b in zip(row, w)) != 0 for row in hrep.span_rows):
         return False
-    return all(sum(a * b for a, b in zip(row, w)) <= 0 for row in hrep.facet_rows)
-
-
-def _cone_member_strict(hrep: ConeHRep, point: QVector) -> bool:
-    """Relative-interior membership in the homogenization cone."""
-    w = clear_denominators(point)
-    if any(sum(a * b for a, b in zip(row, w)) != 0 for row in hrep.span_rows):
-        return False
-    return all(sum(a * b for a, b in zip(row, w)) < 0 for row in hrep.facet_rows)
+    return all(sum(a * b for a, b in zip(row, w)) + strict <= 0 for row in hrep.facet_rows)
 
 
 def lattice_points_in_scaled(p: RationalPolytope, factor) -> tuple[Vector, ...]:
@@ -290,17 +288,47 @@ class _SliceFrame:
     With A the span rows of ``cone_hrep(p)`` and U unimodular such that
     ``A U = [L | 0]``, L lower triangular, y = U x splits x into r fixed
     coordinates, solved from ``L x = -a0 * lam`` on the slice at height lam,
-    and k free ones (k the affine dimension).  ``columns`` are the columns of
-    U; each facet row h becomes ``(h U[:, :r], h U[:, r:], h0)``.  ``lo`` and
-    ``hi`` bound the first k - 1 free coordinates of the vertices.
+    and k free ones z.  ``columns`` are the columns of U; each facet row h
+    becomes ``(h U[:, :r], h U[:, r:], h0)``.  The rows on z are the facets,
+    then the Fourier-Motzkin rows (``derived``: facet multipliers, gcd);
+    ``steps[j]`` holds their z_j coefficients, and ``bounds[j]`` the indices
+    and |coefficients| of those whose last nonzero one, on z_j, is positive,
+    then negative.
     """
 
     lower: tuple[Vector, ...]
     span_consts: tuple[int, ...]
     columns: tuple[Vector, ...]
     facets: tuple[tuple[Vector, Vector, int], ...]
-    lo: tuple[Fraction, ...]
-    hi: tuple[Fraction, ...]
+    derived: tuple[tuple[Vector, int], ...]
+    steps: tuple[Vector, ...]
+    bounds: tuple
+    z0: tuple[Fraction, Fraction]
+
+
+def _last_nonzero(v) -> int:
+    return max((i for i, a in enumerate(v) if a), default=-1)
+
+
+def _projected_rows(rows: list[Vector], k: int) -> list[tuple[Vector, Vector]]:
+    """Fourier-Motzkin elimination of z_{k-1}, ..., z_2 from g . z <= b
+    (Schrijver, Theory of Linear and Integer Programming, 12.2): the new rows
+    (c, mu), c = sum mu_i g_i made primitive, whose last nonzero coefficient
+    is on z_1..z_{k-2}; with the facets they cut out each projection of the
+    slice.  After s eliminations a row combining more than s + 1 facets is
+    redundant (Chernikov's rule) and is dropped."""
+    system = [(g, tuple(int(i == j) for j in range(len(rows)))) for i, g in enumerate(rows)]
+    out = []
+    for j in range(k - 1, 1, -1):
+        above, below = ([row for row in system if s * row[0][j] > 0] for s in (1, -1))
+        system = [row for row in system if not row[0][j]]
+        for (gp, mp), (gn, mn) in itertools.product(above, below):
+            mu = tuple(-gn[j] * x + gp[j] * y for x, y in zip(mp, mn))
+            if len(mu) - mu.count(0) <= k - j + 1:
+                row = primitive_vector(tuple(-gn[j] * x + gp[j] * y for x, y in zip(gp, gn)) + mu)
+                system.append((row[:k], row[k:]))
+                out.append(system[-1])
+    return [row for row in out if _last_nonzero(row[0]) > 0]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -315,33 +343,45 @@ def _slice_frame(p: RationalPolytope) -> _SliceFrame:
         lower = tuple(tuple(h.entries[j][i] for j in range(i + 1)) for i in range(r))
         inverse = invert_rational(columns)
         # x = U^-1 v, and U^-1 is the transpose of u^-1.
-        free_coords = [
-            tuple(sum(inverse[j][c] * v[j] for j in range(n)) for c in range(r, n))
-            for v in p.vertices
-        ]
+        first = [sum(inverse[j][r] * v[j] for j in range(n)) for v in p.vertices] if r < n else [0]
     else:
         columns = IntMatrix.identity(n).entries
         lower = ()
-        free_coords = list(p.vertices)
+        first = [v[0] if n else 0 for v in p.vertices]
     facets = []
     for row in hrep.facet_rows:
         pulled = tuple(sum(a * b for a, b in zip(row, col)) for col in columns)
         facets.append((pulled[:r], pulled[r:], row[n]))
-    k = n - r
-    lo = tuple(min(x[j] for x in free_coords) for j in range(k - 1))
-    hi = tuple(max(x[j] for x in free_coords) for j in range(k - 1))
-    return _SliceFrame(
-        lower, tuple(row[n] for row in hrep.span_rows), columns, tuple(facets), lo, hi
+    k, rows = n - r, [g for _, g, _ in facets]
+    derived = _projected_rows(rows, k)
+    gcds = [math.gcd(*c) for c, _ in derived]
+    rows += [tuple(a // d for a in c) for (c, _), d in zip(derived, gcds)]
+    picks = [[(i, g[j]) for i, g in enumerate(rows) if _last_nonzero(g) == j] for j in range(k)]
+    bounds = tuple(
+        tuple(tuple(zip(*[(i, abs(a)) for i, a in pick if s * a > 0])) for s in (1, -1))
+        for pick in picks
     )
+    steps = tuple(tuple(row[j] for row in rows) for j in range(k - 1))
+    derived = tuple((mu, d) for (_, mu), d in zip(derived, gcds))
+    consts = tuple(row[n] for row in hrep.span_rows)
+    z0 = (min(first), max(first))  # the exact projection of P on z_0
+    return _SliceFrame(lower, consts, columns, tuple(facets), derived, steps, bounds, z0)
 
 
 @functools.lru_cache(maxsize=4096)
 def _lattice_points_in_scaled(p: RationalPolytope, lam: Fraction) -> tuple[Vector, ...]:
-    """Project and lift in the coordinates of ``_slice_frame``: the fixed
-    coordinates by exact division, the first k - 1 free ones over the vertex
-    bounds, the last one over the exact interval the facet rows leave."""
+    return _walk(p, lam.numerator, lam.denominator)
+
+
+def _walk(p: RationalPolytope, num: int, q: int, den: int = 0) -> tuple:
+    """Integer points of (num/q)*P in lex order, by project and lift in the
+    coordinates of ``_slice_frame``: the fixed ones by exact division, z_0
+    over the vertex range, each later z_j over the interval its bounding
+    rows leave after the prefix.  With ``den`` > 0 (q = 1, the origin in P,
+    den a multiple of each facet constant c0_F) a point y comes as (y, den *
+    lambda(y)): a facet's remainder at height num is its slack s_F, and den
+    * lambda(y) = max over c0_F > 0 of den/c0_F * (num*c0_F - s_F)."""
     frame = _slice_frame(p)
-    q, num = lam.denominator, lam.numerator
     # Forward substitution in L (q x) = -a0 * num; a remainder means the
     # slice's affine hull holds no lattice point.
     fixed: list[int] = []
@@ -351,61 +391,50 @@ def _lattice_points_in_scaled(p: RationalPolytope, lam: Fraction) -> tuple[Vecto
         if rest % pivot:
             return ()
         fixed.append(rest // pivot)
-    # Facet rows on the free coordinates z: g . z <= b, with b floored
-    # because g . z is an integer; ordered by the sign of their last
-    # coefficient, which bounds the last coordinate above or below or not.
-    upper, below, level = [], [], []
-    for f, g, h0 in frame.facets:
-        b = (-h0 * num) // q - sum(a * x for a, x in zip(f, fixed))
-        if g and g[-1] > 0:
-            upper.append((g, b))
-        elif g and g[-1] < 0:
-            below.append((g, b))
-        else:
-            level.append((g, b))
-    rows = upper + below + level
-    n_up, n_bounded = len(upper), len(upper) + len(below)
-    last = [abs(g[-1]) for g, _ in rows[:n_bounded]]
-    prefix_coeffs = list(zip(*(g[:-1] for g, _ in rows)))
-    ranges = [
-        range(math.ceil(lam * a), math.floor(lam * b) + 1) for a, b in zip(frame.lo, frame.hi)
-    ]
-    r = len(fixed)
-    out: list[Vector] = []
-    if r == p.dim:
-        # No free coordinate: the point fixed by the span rows, if it fits.
-        if all(b >= 0 for _, b in rows):
-            out.append(())
-        stack = []
-    else:
-        # Depth first over prefixes, in lex order; rems[i] is b_i minus
-        # the prefix's share of g_i . z.
-        stack = [((), [b for _, b in rows])]
+    # Rows on z: g . z <= b, b floored because g . z is an integer.
+    rhs = [(-h0 * num) // q - sum(a * x for a, x in zip(f, fixed)) for f, _, h0 in frame.facets]
+    rhs += [sum(m * b for m, b in zip(mu, rhs)) // d for mu, d in frame.derived]
+    r, k, hd = len(fixed), p.dim - len(fixed), num * den
+    # The tag lines on the last coordinate, one per slope: (facets, den/c0_F).
+    slopes: dict[int, list[tuple[int, int]]] = {}
+    for i, (_, g, h0) in enumerate(frame.facets):
+        if den and h0:
+            slopes.setdefault(den // -h0 * (g[-1] if k else 0), []).append((i, den // -h0))
+    slopes = [(b, *zip(*rows)) for b, rows in slopes.items()]
+    # With no free coordinate, the point the span rows fix (the origin when
+    # tagged) if it fits.
+    out, tags = ([()], [0]) if not k and all(b >= 0 for b in rhs) else ([], [])
+    # Depth first over prefixes, in lex order; rems[i] is row i's bound
+    # minus the prefix's share of it.
+    stack = [((), rhs)] if k else []
     while stack:
         prefix, rems = stack.pop()
         j = len(prefix)
-        if j < len(ranges):
-            stack.extend(
-                (prefix + (z,), [rem - a * z for rem, a in zip(rems, prefix_coeffs[j])])
-                for z in reversed(ranges[j])
-            )
+        if j or k == 1:
+            (up, up_c), (down, down_c) = frame.bounds[j]
+            bot = -min(map(operator.floordiv, map(rems.__getitem__, down), down_c))
+            zs = range(bot, min(map(operator.floordiv, map(rems.__getitem__, up), up_c)) + 1)
+        else:
+            zs = range(math.ceil(num * frame.z0[0] / q), math.floor(num * frame.z0[1] / q) + 1)
+        if j < k - 1:
+            step = frame.steps[j]
+            stack.extend((prefix + (z,), [c - a * z for c, a in zip(rems, step)]) for z in zs[::-1])
             continue
-        if any(rem < 0 for rem in rems[n_bounded:]):
-            continue
-        top = min(rem // c for rem, c in zip(rems[:n_up], last))
-        bot = -min(rem // c for rem, c in zip(rems[n_up:n_bounded], last[n_up:]))
-        out.extend(prefix + (z,) for z in range(bot, top + 1))
-    if not r:
-        # U is the identity and the loop order is already lex.
-        return tuple(out)
-    base = [sum(x * col[j] for x, col in zip(fixed, frame.columns)) for j in range(p.dim)]
-    free_rows = [tuple(col[j] for col in frame.columns[r:]) for j in range(p.dim)]
-    return tuple(
-        sorted(
-            tuple(c + sum(a * x for a, x in zip(row, z)) for c, row in zip(base, free_rows))
-            for z in out
-        )
-    )
+        out.extend(map(prefix.__add__, zip(zs)))
+        if den and zs:
+            lines = []
+            for b, ii, es in slopes:
+                s = hd - min(map(operator.mul, es, map(rems.__getitem__, ii)))
+                lines.append(range(s + b * zs[0], s + b * zs.stop, b) if b else repeat(s, len(zs)))
+            tags.extend(map(max, *lines) if len(lines) > 1 else lines[0])
+    if r:
+        # x = U y, y the fixed coordinates followed by z.
+        rows = list(zip(*frame.columns))
+        out = [tuple(sum(map(operator.mul, row, (*fixed, *z))) for row in rows) for z in out]
+    if den:
+        out = zip(out, tags)
+    # With no span rows U is the identity and the loop order is already lex.
+    return tuple(sorted(out)) if r else tuple(out)
 
 
 def lattice_points_in_dilate(p: RationalPolytope, k: int) -> list[Vector]:
@@ -419,11 +448,11 @@ def interior_lattice_points_in_dilate(p: RationalPolytope, k: int) -> list[Vecto
     """Integer points in the relative interior of k*P."""
     hrep = cone_hrep(p)
     pts = lattice_points_in_scaled(p, Fraction(k))
-    return [y for y in pts if _cone_member_strict(hrep, qvec(y) + (Fraction(k),))]
+    return [y for y in pts if _cone_member(hrep, y + (k,), strict=True)]
 
 
 def _require_origin(p: RationalPolytope) -> None:
-    if not p.contains((Fraction(0),) * p.dim):
+    if not _cone_member(cone_hrep(p), (0,) * p.dim + (1,)):
         raise PreconditionError("the origin must lie in the polytope", "origin-not-in-polytope")
 
 
@@ -535,10 +564,10 @@ def _least_dilation(hrep: ConeHRep, point) -> Fraction | None:
 
 
 @functools.lru_cache(maxsize=512)
-def lattice_points_with_dilation(p: RationalPolytope, bound) -> tuple[tuple[Vector, Fraction], ...]:
-    """Pairs (y, least lambda >= 0 with y in lambda*P) over the integer points
-    y of bound*P, in lex order, for a rational bound >= 0; requires the origin
-    in P."""
+def tagged_lattice_points(p: RationalPolytope, height: int) -> tuple[int, tuple]:
+    """(den, pairs): the integer points y of height*P in lex order, each with
+    the integer den * lambda(y), lambda(y) the least dilation of P holding y,
+    den the lcm of the positive facet constants; the origin must be in P."""
     _require_origin(p)
-    hrep = cone_hrep(p)
-    return tuple((y, _least_dilation(hrep, y)) for y in lattice_points_in_scaled(p, bound))
+    den = math.lcm(*(-row[-1] for row in cone_hrep(p).facet_rows if row[-1]))
+    return den, _walk(p, height, 1, den)

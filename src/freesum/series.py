@@ -108,13 +108,12 @@ class DeltaPolynomial:
 
 @functools.lru_cache(maxsize=512)
 def sigma_cone(cone: ConeOverPolytope, height_bound: int) -> TruncatedSeries:
-    """Generating function of the cone's lattice points up to the height bound."""
+    """Generating function of the cone's lattice points up to the height bound,
+    from ``lattice_points_by_height``: one walk when the base has the origin."""
     if height_bound < 0:
         raise InputError("height bound must be nonnegative")
-    terms: dict[Exponent, int] = {}
-    for t in range(height_bound + 1):
-        for pt in cone.lattice_points_at_height(t):
-            terms[pt] = 1
+    points = cone.lattice_points_by_height(height_bound)
+    terms = {y + (t,): 1 for y, heights in points for t in heights}
     return TruncatedSeries(cone.ambient_dim, height_bound, terms)
 
 

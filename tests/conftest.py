@@ -19,7 +19,14 @@ from freesum import RationalPolytope, TruncatedSeries, UnivariateSeries, cone_ov
 from freesum.corpus import CorpusPair
 from freesum.errors import PreconditionError
 from freesum.jsonio import format_point, parse_polytope
-from freesum.linalg import LatticeBasis, in_pos_hull, invert_rational, qvec, rational_rank
+from freesum.linalg import (
+    LatticeBasis,
+    clear_denominators,
+    in_pos_hull,
+    invert_rational,
+    qvec,
+    rational_rank,
+)
 
 
 CORPUS_FILE = Path(__file__).resolve().parent.parent / "corpus" / "standard.json"
@@ -134,6 +141,25 @@ def epsilon_project(cone, x, p) -> tuple:
     return tuple(a - lam * b for a, b in zip(x, ap))
 
 
+def llenv_points_by_fractions(cone, p, height_bound: int) -> list:
+    """The Fraction form of ``llenv_points``: each lattice point of the cone
+    up to the bound, walked height by height, drops by the least facet cap
+    (h.x)/(h.alpha(p)) taken as a Fraction, and the projections are
+    deduplicated as Fraction vectors, each flagged when it is integral."""
+    ap = qvec(p) + (Fraction(1),)
+    ap_int = clear_denominators(ap)
+    scale = math.lcm(*(c.denominator for c in ap))
+    rows = [(h, _dot(h, ap_int)) for h in cone.hrep.facet_rows if _dot(h, ap_int) < 0]
+    seen = {}
+    for t in range(height_bound + 1):
+        for pt in cone.lattice_points_at_height(t):
+            lam = min(Fraction(scale * _dot(h, pt), d) for h, d in rows)
+            proj = tuple(a - lam * b for a, b in zip(map(Fraction, pt), ap))
+            if proj not in seen:
+                seen[proj] = all(c.denominator == 1 for c in proj)
+    return sorted(seen.items())
+
+
 def in_convex_hull(point, points) -> bool:
     """Exact membership of ``point`` in the convex hull of ``points``."""
     lifted = [qvec(p) + (Fraction(1),) for p in points]
@@ -155,14 +181,34 @@ def break_split(monkeypatch, fault):
     broken hull point and its split count."""
     change, point, splits = SPLIT_FAULTS[fault]
     j, k = axis_seg(2, 0, -1, 1), axis_seg(2, 1, -1, 1)
-    real = freesum.freesums.lattice_points_with_dilation
+    real = freesum.freesums.tagged_lattice_points
 
     def faulty(p, bound):
-        points = real(p, bound)
-        return change(points) if p == k else points
+        den, points = real(p, bound)
+        return (den, change(points)) if p == k else (den, points)
 
-    monkeypatch.setattr(freesum.freesums, "lattice_points_with_dilation", faulty)
+    monkeypatch.setattr(freesum.freesums, "tagged_lattice_points", faulty)
     return j, k, point, splits
+
+
+def sigma_cone_by_heights(cone, height_bound: int) -> TruncatedSeries:
+    """The cone's series walked one height at a time, each slice t*P
+    enumerated on its own: the oracle for the first-height maps."""
+    terms = {}
+    for t in range(height_bound + 1):
+        for pt in cone.lattice_points_at_height(t):
+            terms[pt] = 1
+    return TruncatedSeries(cone.ambient_dim, height_bound, terms)
+
+
+def height_map_series(heights, num_vars: int, height_bound: int) -> TruncatedSeries:
+    """The series of a first-height map z -> h: coefficient 1 at (z, T) for
+    h <= T <= H."""
+    return TruncatedSeries(
+        num_vars,
+        height_bound,
+        {z + (t,): 1 for z, h in heights.items() for t in range(h, height_bound + 1)},
+    )
 
 
 def oracle_lattice_points(p: RationalPolytope, factor) -> tuple:

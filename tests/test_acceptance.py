@@ -44,11 +44,13 @@ from conftest import (
     diamond,
     epsilon_project,
     geometric_series,
+    height_map_series,
     indicator_series,
     oracle_count_dilate,
     poly,
     rind_contains,
     segment,
+    sigma_cone_by_heights,
     specialize_to_univariate,
 )
 
@@ -165,8 +167,8 @@ def test_criterion_4_decomposition_oracle_equivalence():
     assert len(pairs) >= 12
     denominators = set()
     for name, a, b, _ in pairs:
-        total = decompose_sigma(a, b, 10)
-        direct = sigma_cone(cone_over(hull_union(a, b)), 10)
+        total = height_map_series(decompose_sigma(a, b, 10), a.dim + 1, 10)
+        direct = sigma_cone_by_heights(cone_over(hull_union(a, b)), 10)
         assert total == direct, f"decomposition mismatch for {name}"
         denominators.add(dual_denominator(a))
     assert {1, 2, 3, 6} <= denominators

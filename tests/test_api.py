@@ -60,7 +60,7 @@ def test_every_export_has_a_caller_in_the_package():
         polytopes._lattice_points_in_scaled,
         polytopes.halfspace_rep,
         polytopes.polar_dual,
-        polytopes.lattice_points_with_dilation,
+        polytopes.tagged_lattice_points,
         cones.cone_over,
         freesums.hull_union,
         freesums.classify_sum,

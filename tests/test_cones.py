@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from freesum import (
     cone_over,
@@ -26,6 +28,7 @@ from conftest import (
     diamond,
     epsilon_project,
     lambda_p_basis_vectors,
+    llenv_points_by_fractions,
     poly,
     rind_contains,
     segment,
@@ -142,6 +145,39 @@ def test_llenv_matches_projection_capped_by_several_facets():
     capping = [h for h in cone.hrep.facet_rows if sum(a * b for a, b in zip(h, ap)) < 0]
     assert len(capping) == 4
     check_llenv_against_projection(quad, direction, 3)
+
+
+@st.composite
+def envelope_cases(draw):
+    """(J, p, H): J spanned by 1-4 points of R^n, n = 1-3, with coordinates
+    in [-2, 2] of denominator 1 or 2, so the origin may or may not lie in J;
+    p = (w_1 v_1 + ... ) / q, a weighted average of the points with integer
+    weights summing to q = 2-4, so den(p) divides q; H in 0-4."""
+    n = draw(st.integers(1, 3))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    points = draw(
+        st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4, unique=True)
+    )
+    q = draw(st.integers(2, 4))
+    weights = [0] * len(points)
+    for _ in range(q):
+        weights[draw(st.integers(0, len(points) - 1))] += 1
+    p = tuple(sum(w * v[j] for w, v in zip(weights, points)) / q for j in range(n))
+    return poly(n, *points), p, draw(st.integers(0, 4))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(envelope_cases())
+@example((segment(F(1, 4), F(3, 4)), (F(1, 2),), 3))
+@example((poly(2, (-1, -1), (2, -1), (1, 2), (-1, 1)), (F(1, 3), F(1, 4)), 3))
+@example((poly(2, (1, 0), (2, 1), (1, 2)), (F(4, 3), F(1)), 4))
+@example((poly(3, (0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)), (F(1, 2), F(1, 2), F(1, 4)), 3))
+def test_llenv_matches_fraction_form(case):
+    """The integer projections, read off one tagged walk when the origin is
+    in J and height by height when it is not, equal the Fraction form."""
+    j, p, bound = case
+    cone = cone_over(j)
+    assert llenv_points(cone, p, bound) == llenv_points_by_fractions(cone, p, bound)
 
 
 def test_shifted_envelopes_wide_interval():

@@ -29,9 +29,9 @@ from freesum import (
     shifted_envelope_lattice_points,
 )
 from freesum.errors import PreconditionError
-from freesum.polytopes import lattice_points_in_scaled, lattice_points_with_dilation
+from freesum.polytopes import lattice_points_in_scaled, tagged_lattice_points
 
-from conftest import F, indicator_series, min_dilation, poly
+from conftest import F, height_map_series, indicator_series, min_dilation, poly
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -93,7 +93,8 @@ def test_layers_match_dilate_differences(p, bound):
 @given(polytopes_with_origin(), st.integers(0, 4))
 def test_least_dilation_is_on_the_dual_grid(p, bound):
     d = dual_denominator(p)
-    for y, lam in lattice_points_with_dilation(p, bound):
+    den, tagged = tagged_lattice_points(p, bound)
+    for y, lam in ((y, Fraction(m, den)) for y, m in tagged):
         assert lam == min_dilation(p, y)
         assert (d * lam).denominator == 1
         assert y in lattice_points_in_scaled(p, lam)
@@ -103,7 +104,7 @@ def test_least_dilation_is_on_the_dual_grid(p, bound):
 def test_dilation_helpers_require_origin():
     p = poly(2, (1, 0), (2, 1))
     with pytest.raises(PreconditionError):
-        lattice_points_with_dilation(p, 2)
+        tagged_lattice_points(p, 2)
 
 
 @st.composite
@@ -143,4 +144,5 @@ def layered_assembly(j: RationalPolytope, k: RationalPolytope, bound: int) -> Tr
 @given(free_sums_at_origin(), st.integers(0, 4))
 def test_one_pass_decompose_matches_layer_sum(pair, bound):
     j, k = pair
-    assert decompose_sigma(j, k, bound) == layered_assembly(j, k, bound)
+    heights = decompose_sigma(j, k, bound)
+    assert height_map_series(heights, 4, bound) == layered_assembly(j, k, bound)

@@ -39,9 +39,11 @@ from conftest import (
     corpus_pairs,
     diamond,
     epsilon_project,
+    height_map_series,
     poly,
     pos_hull_membership,
     segment,
+    sigma_cone_by_heights,
     specialize_to_univariate,
 )
 
@@ -188,8 +190,8 @@ def braun_by_series(witness, bound):
     """Braun verdict assembled from series, never from the pair table: sigma
     of the hull cone by direct enumeration minus (1 - z^(r*alpha(p))) times
     sigma_J * sigma_K.  Returns (holds, counterexample, residual)."""
-    lhs = sigma_cone(cone_over(hull_union(witness.j, witness.k)), bound)
-    sigma_j, sigma_k = (sigma_cone(cone_over(p), bound) for p in (witness.j, witness.k))
+    lhs = sigma_cone_by_heights(cone_over(hull_union(witness.j, witness.k)), bound)
+    sigma_j, sigma_k = (sigma_cone_by_heights(cone_over(p), bound) for p in (witness.j, witness.k))
     product = series_mul(sigma_j, sigma_k)
     rhs = apply_one_minus_monomial(product, witness.factor_exponent)
     return lhs == rhs, lhs.first_difference(rhs), lhs - rhs
@@ -265,15 +267,16 @@ def test_braun_settles_integral_side_without_enumerating_the_other(monkeypatch):
     at lattice distance 2).  The verdict still equals the series oracle."""
     j = poly(3, (-1, -1, 0), (3, -1, 0), (-1, 3, 0))
     k = axis_seg(3, 2, -1, 1)
-    real = freesum.freesums.lattice_points_with_dilation
-    assert any(lam.denominator > 1 for _, lam in real(j, 1))
+    real = freesum.freesums.tagged_lattice_points
+    den, points = real(j, 1)
+    assert any(m % den for _, m in points)
     tagged = []
 
     def recording(p, bound):
         tagged.append((p, bound))
         return real(p, bound)
 
-    monkeypatch.setattr(freesum.freesums, "lattice_points_with_dilation", recording)
+    monkeypatch.setattr(freesum.freesums, "tagged_lattice_points", recording)
     witness = classify_sum(j, k)
     assert witness.kind == FREE_SUM
     for bound in range(5):
@@ -318,25 +321,29 @@ def test_braun_univariate_top_polygon():
 
 
 def test_decompose_sigma_matches_enumeration():
-    total = decompose_sigma(axis_seg(2, 0, -2, 3), axis_seg(2, 1, -1, 1), 8)
-    direct = sigma_cone(cone_over(hull_union(axis_seg(2, 0, -2, 3), axis_seg(2, 1, -1, 1))), 8)
+    total = height_map_series(decompose_sigma(axis_seg(2, 0, -2, 3), axis_seg(2, 1, -1, 1), 8), 3, 8)
+    direct = sigma_cone_by_heights(
+        cone_over(hull_union(axis_seg(2, 0, -2, 3), axis_seg(2, 1, -1, 1))), 8
+    )
     assert total == direct
 
 
 def test_decompose_sigma_single_layer_is_braun_product():
     p = axis_seg(2, 0, -1, 1)
     k = axis_seg(2, 1, 0, F(2, 3))
-    total = decompose_sigma(p, k, 6)
+    total = height_map_series(decompose_sigma(p, k, 6), 3, 6)
     w = classify_sum(p, k)
-    product = series_mul(sigma_cone(cone_over(p), 6), sigma_cone(cone_over(k), 6))
+    product = series_mul(
+        sigma_cone_by_heights(cone_over(p), 6), sigma_cone_by_heights(cone_over(k), 6)
+    )
     assert total == apply_one_minus_monomial(product, w.factor_exponent)
 
 
 def test_decompose_sigma_where_braun_fails():
     a = axis_seg(2, 0, 0, F(2, 3))
     b = axis_seg(2, 1, 0, F(2, 3))
-    total = decompose_sigma(a, b, 5)
-    direct = sigma_cone(cone_over(hull_union(a, b)), 5)
+    total = height_map_series(decompose_sigma(a, b, 5), 3, 5)
+    direct = sigma_cone_by_heights(cone_over(hull_union(a, b)), 5)
     assert total == direct
     assert not check_braun_multivariate(classify_sum(a, b), 5).holds_up_to_bound
 
@@ -611,7 +618,7 @@ def test_decomposition_check_matches_bruteforce(case, bound):
                 counts[tuple(z)] = count
     assert report.points_checked == checked
     if decomposed is not None:
-        assert dict(decomposed.terms) == counts
+        assert dict(height_map_series(decomposed, j.dim + 1, bound).terms) == counts
     assert sorted(v[0] for v in report.violations) == sorted(
         v[0] for v in expected_violations
     )

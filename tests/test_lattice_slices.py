@@ -5,6 +5,13 @@ Polytopes live in dimensions 1-3 on flats of every dimension, skew to the
 axes, with rational vertices; affine hulls off the origin miss the lattice
 at some factors.  Factors have denominators 1-7 and include 0.  The factor
 is capped so that the oracle's box stays small.
+
+The tagged walk of H*P, for P containing the origin in dimensions 1-4, is
+checked the same way, each tag against ``_least_dilation``, and the series
+built from it against the per-height oracle.  The walk's prefix bounds, the
+vertex range of the first coordinate and the Fourier-Motzkin rows, are
+checked to cut out each coordinate projection of P, against the convex
+hull of the projected vertices.
 """
 
 from __future__ import annotations
@@ -12,13 +19,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from freesum import RationalPolytope
-from freesum.polytopes import lattice_points_in_scaled
+from freesum import RationalPolytope, cone_over, sigma_cone
+from freesum.polytopes import (
+    _least_dilation,
+    _slice_frame,
+    cone_hrep,
+    lattice_points_in_scaled,
+    tagged_lattice_points,
+)
 
-from conftest import F, oracle_lattice_points, poly
+from conftest import F, oracle_lattice_points, poly, pos_hull_membership, sigma_cone_by_heights
 
 BOX_CAP = 400
 
@@ -83,3 +96,101 @@ def test_slices_match_box_scan(case):
 
 def test_skew_segment_at_sixteen():
     assert lattice_points_in_scaled(skew_segment, 16) == tuple((i, i, i) for i in range(81))
+
+
+@st.composite
+def tagged_cases(draw):
+    """(P, H): P spanned by points on a flat through the origin along k
+    integer directions in R^n, n = 1-4 (lower dimensional when k < n or the
+    directions are dependent), with the origin among the points or inside
+    the segment from the first point v to -c*v; H in 0-6, capped so that the
+    oracle's box holds at most 4 * BOX_CAP candidates."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    reach = 2 if n < 4 else 1
+    dirs = [tuple(draw(st.integers(-reach, reach)) for _ in range(n)) for _ in range(k)]
+    coeffs = st.lists(small, min_size=k, max_size=k)
+    points = [
+        tuple(sum(c * d[j] for c, d in zip(coeff, dirs)) for j in range(n))
+        for coeff in draw(st.lists(coeffs, min_size=k, max_size=k + 2))
+    ]
+    if draw(st.booleans()):
+        points.append((F(0),) * n)
+    else:
+        c = draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
+        points.append(tuple(-c * x for x in points[0]))
+    p = RationalPolytope.from_points(n, points)
+    top = 0
+    while top < 6 and box_size(p, top + 1) <= 4 * BOX_CAP:
+        top += 1
+    return p, draw(st.integers(0, top))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tagged_cases())
+@example((poly(3, (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)), 3))
+@example((poly(3, (0, 0, 0), (F(3, 2), 0, 0), (0, F(4, 3), 0), (0, 0, 1)), 4))
+@example((poly(4, (0, 0, 0, 0), (2, 1, 0, 0), (0, 1, 1, 0), (-1, 0, 1, 1), (1, -1, 0, 1)), 2))
+@example((poly(3, (-1, 1, -1), (2, -2, 2)), 3))
+@example((poly(2, (0, 0)), 4))
+def test_tags_are_least_dilations(case):
+    """Every point of the tagged walk comes with den * lambda(y), and the
+    points are the box scan's; the series read off the tags is the one
+    enumerated height by height."""
+    p, height = case
+    den, tagged = tagged_lattice_points(p, height)
+    assert tuple(y for y, _ in tagged) == oracle_lattice_points(p, height)
+    hrep = cone_hrep(p)
+    assert [F(m, den) for _, m in tagged] == [_least_dilation(hrep, y) for y, _ in tagged]
+    assert sigma_cone(cone_over(p), height) == sigma_cone_by_heights(cone_over(p), height)
+
+
+@st.composite
+def solids(draw):
+    """(P, probes): a full-dimensional polytope in R^3 or R^4, spanned by
+    n + 1 to n + 3 points with coordinates in [-2, 2] of denominator 1-3,
+    and rational probe points around it: each vertex, a midpoint of two
+    vertices, and points of the bounding box."""
+    n = draw(st.integers(3, 4))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    points = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 3, unique=True))
+    p = RationalPolytope.from_points(n, points)
+    assume(p.affine_dim == n)
+    probes = list(p.vertices)
+    probes += [tuple((a + b) / 2 for a, b in zip(u, v)) for u, v in zip(p.vertices, p.vertices[1:])]
+    box = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    probes += draw(st.lists(st.tuples(*[box] * n), min_size=10, max_size=20))
+    return p, probes
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(solids())
+@example((poly(3, (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+          [(F(1, 2), F(1, 2), 0), (F(1, 2), F(2, 3), 0), (F(-1, 3), F(-2, 3), F(1, 2))]))
+def test_prefix_bounds_cut_out_the_projections(case):
+    """A prefix (z_0, ..., z_j) passes the walk's bounds at level j iff it is
+    the projection of a point of P: z_0 in the vertices' range, and every
+    facet row and Fourier-Motzkin row whose last nonzero coefficient is on
+    z_1..z_j holds, each derived row taken at its exact right-hand side."""
+    p, probes = case
+    n = p.dim
+    frame = _slice_frame(p)
+    gs = [g for _, g, _ in frame.facets]
+    bs = [-h0 for _, _, h0 in frame.facets]
+    derived = [
+        (tuple(sum(m * g[i] for m, g in zip(mu, gs)) for i in range(n)), sum(m * b for m, b in zip(mu, bs)))
+        for mu, _ in frame.derived
+    ]
+
+    def last(g):
+        return max((i for i, a in enumerate(g) if a), default=-1)
+
+    for j in range(1, n - 1):
+        rows = [(g, b) for g, b in list(zip(gs, bs)) + derived if 1 <= last(g) <= j]
+        member = pos_hull_membership([v[: j + 1] + (1,) for v in p.vertices])
+        for probe in probes:
+            prefix = probe[: j + 1]
+            passes = frame.z0[0] <= prefix[0] <= frame.z0[1] and all(
+                sum(a * x for a, x in zip(g, prefix)) <= b for g, b in rows
+            )
+            assert passes == member(prefix + (1,)), (j, prefix)
