@@ -77,11 +77,11 @@ class ConeOverPolytope:
         with the heights t at which (y, t) is in the cone.  For a base with
         the origin they run from ceil(lambda(y)) up, read off one tagged walk
         of H*P; other bases are walked one slice at a time."""
-        heights = range(height_bound + 1)
+        ts = range(height_bound + 1)
         if self.contains((0,) * self.base.dim + (1,)):
             den, tagged = tagged_lattice_points(self.base, height_bound)
-            return [(y, heights[-(-m // den) :]) for y, m in tagged]
-        return [(y, heights[t : t + 1]) for t in heights for y in lattice_points_in_scaled(self.base, t)]
+            return [(y, ts[-(-m // den) :]) for y, m in tagged]
+        return [(y, ts[t : t + 1]) for t in ts for y in lattice_points_in_scaled(self.base, t)]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -112,8 +112,7 @@ def llenv_points(cone: ConeOverPolytope, p, height_bound: int) -> list[tuple[QVe
         raise PreconditionError(
             "projection direction is not bounded by the cone", "direction-unbounded"
         )
-    # The projection x - (num/cap) a, least ratio first, kept as the integer
-    # vector cap*x - num*a over its reduced denominator.
+    # x - (num/cap) a for the least cap num/cap, kept as cap*x - num*a over its gcd.
     seen = set()
     for y, ts in cone.lattice_points_by_height(height_bound):
         values = [(-sum(a * b for a, b in zip(c, y)), -c0, d) for c, c0, d in rows]
@@ -235,6 +234,8 @@ def shifted_envelope_nonempty(
     if height_bound is None:
         height_bound = 4 * rho.denominator * denominator(p) * (n + 1)
     height_bound = Fraction(height_bound)
+    if height_bound < 0:
+        raise InputError("dilation factor must be nonnegative")
     den, tagged = tagged_lattice_points(p, math.ceil(height_bound))
     limit, modulus = math.floor(height_bound * den), den * s.denominator
     for y, m in tagged:

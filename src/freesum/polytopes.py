@@ -401,8 +401,7 @@ def _walk(p: RationalPolytope, num: int, q: int, den: int = 0) -> tuple:
         if den and h0:
             slopes.setdefault(den // -h0 * (g[-1] if k else 0), []).append((i, den // -h0))
     slopes = [(b, *zip(*rows)) for b, rows in slopes.items()]
-    # With no free coordinate, the point the span rows fix (the origin when
-    # tagged) if it fits.
+    # No free coordinate: the point the span rows fix, if it fits (0 if tagged).
     out, tags = ([()], [0]) if not k and all(b >= 0 for b in rhs) else ([], [])
     # Depth first over prefixes, in lex order; rems[i] is row i's bound
     # minus the prefix's share of it.
@@ -568,6 +567,8 @@ def tagged_lattice_points(p: RationalPolytope, height: int) -> tuple[int, tuple]
     """(den, pairs): the integer points y of height*P in lex order, each with
     the integer den * lambda(y), lambda(y) the least dilation of P holding y,
     den the lcm of the positive facet constants; the origin must be in P."""
+    if height < 0:
+        raise InputError("dilation factor must be nonnegative")
     _require_origin(p)
     den = math.lcm(*(-row[-1] for row in cone_hrep(p).facet_rows if row[-1]))
     return den, _walk(p, height, 1, den)

@@ -27,8 +27,9 @@ from freesum import (
     dual_denominator,
     series_mul,
     shifted_envelope_lattice_points,
+    shifted_envelope_nonempty,
 )
-from freesum.errors import PreconditionError
+from freesum.errors import InputError, PreconditionError
 from freesum.polytopes import lattice_points_in_scaled, tagged_lattice_points
 
 from conftest import F, height_map_series, indicator_series, min_dilation, poly
@@ -105,6 +106,18 @@ def test_dilation_helpers_require_origin():
     p = poly(2, (1, 0), (2, 1))
     with pytest.raises(PreconditionError):
         tagged_lattice_points(p, 2)
+
+
+def test_tagged_walk_rejects_negative_heights():
+    """A negative height is an input error, as for ``lattice_points_in_scaled``,
+    also where it reaches the tagged walk through its readers."""
+    seg = poly(1, (-1,), (2,))
+    with pytest.raises(InputError):
+        tagged_lattice_points(seg, -1)
+    with pytest.raises(InputError):
+        decompose_sigma(poly(2, (-1, 0), (2, 0)), poly(2, (0, -1), (0, 1)), -1)
+    with pytest.raises(InputError):
+        shifted_envelope_nonempty(seg, F(1, 2), 1, F(-1, 2))
 
 
 @st.composite
