@@ -23,8 +23,8 @@ from .polytopes import (
     is_reflexive, lattice_points_in_dilate, polar_dual,
 )
 from .series import (
-    DeltaPolynomial, TruncatedSeries, UnivariateSeries, apply_one_minus_monomial,
-    delta_polynomial, ehrhart_series, series_mul, sigma_cone,
+    DeltaPolynomial, TruncatedSeries, UnivariateSeries, delta_polynomial, ehrhart_series,
+    sigma_cone,
 )
 
 __version__ = "0.1.0"
@@ -49,6 +49,6 @@ __all__ = [
     "dual_denominator", "gorenstein_data", "halfspace_rep", "interior_lattice_points_in_dilate",
     "is_lattice_polyhedron", "is_reflexive", "lattice_points_in_dilate", "polar_dual",
     # series
-    "DeltaPolynomial", "TruncatedSeries", "UnivariateSeries", "apply_one_minus_monomial",
-    "delta_polynomial", "ehrhart_series", "series_mul", "sigma_cone",
+    "DeltaPolynomial", "TruncatedSeries", "UnivariateSeries", "delta_polynomial",
+    "ehrhart_series", "sigma_cone",
 ]

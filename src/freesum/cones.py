@@ -141,8 +141,6 @@ def shifted_envelope_lattice_points(
     d = dual_denominator(p)
     if not 0 <= index <= d - 1:
         raise InputError(f"shift index must be in [0, {d - 1}]")
-    if height_bound < 0:
-        return []
     den, tagged = tagged_lattice_points(p, height_bound)
     # t = m/den + index/d; d divides den, as den * lambda is an integer.
     out = []

@@ -4,12 +4,15 @@ Classification runs the lattice-complementarity criterion: the two summands
 must meet in a single rational point p, and the direction-space lattices of
 the recentered summands must be complementary inside the refined lattice
 generated by the standard basis and p.  The product-formula checks compare
-truncated generating functions coefficient by coefficient.  For a free sum
-both sides are read off one table of the tagged lattice points of H*J and
-H*K: ``check_braun_multivariate`` reads the residual off it, and the split
-check is ``decompose_sigma``'s comparison of it with direct enumeration;
-``decomposition_check`` is the per-point form, which also covers affine free
-sums.
+truncated generating functions coefficient by coefficient.  Both sides are
+read off one table of pairs of tagged lattice points: for an affine free sum
+through p, r = den(p), the points v of H*r(J - p) in r*Lambda^p, each in
+the class sigma(v) mod r of the heights s at which v/r + s*p is integral,
+and those of H*r(K - p) (for a free sum, p = 0 and r = 1, the points of H*J
+and H*K).  ``check_braun_multivariate`` reads the residual off it for both
+kinds, and the split check is ``decompose_sigma``'s comparison of the r = 1
+table with direct enumeration; ``decomposition_check`` is the per-point
+form, which also covers affine free sums.
 """
 
 from __future__ import annotations
@@ -59,14 +62,11 @@ from .polytopes import (
 from .records import frozen
 from .series import (
     TruncatedSeries,
-    apply_one_minus_monomial,
     delta_polynomial,
     ehrhart_series,
     poly_divmod,
     poly_mul,
     poly_pow,
-    series_mul,
-    sigma_cone,
 )
 
 FREE_SUM = "free_sum"
@@ -224,92 +224,112 @@ def envelope_condition_check(j: RationalPolytope, p, height_bound: int) -> Envel
     return EnvelopeCondition(True, None)
 
 
-def _pair_table(tagged_j: tuple, tagged_k: tuple) -> tuple[int, list, list]:
-    """The tagged integer points of H*J and H*K (``tagged_lattice_points``)
-    with their least dilations as integers over one common denominator den:
-    (den, [(y, a)], [(b, w)]), J in lex order and K sorted by b, so a loop
-    over K for one y can stop at the first w that no height reaches."""
-    (den_j, points_j), (den_k, points_k) = tagged_j, tagged_k
+def _class_table(q: RationalPolytope, p: QVector, r: int, height_bound: int) -> tuple[int, list]:
+    """(den, [(v, m, least)]): the integer points v of H*r(Q - p) that lie in
+    r*Lambda^p, in lex order, with m = den * lambda'(v) from
+    ``tagged_lattice_points`` and least the least s >= lambda'(v) in v's
+    class sigma(v) = -c mod r, where v = c*r*p (mod r).  At p = 0 (r = 1)
+    Q itself is tagged, every point is kept and least = ceil(lambda')."""
+    rp = tuple(int(r * x) for x in p)
+    classes = {tuple(c * x % r for x in rp): -c % r for c in range(r)}
+    if any(p):
+        q = q.translate(tuple(-x for x in p)).dilate(r)
+    den, tagged = tagged_lattice_points(q, height_bound)
+    table = []
+    for v, m in tagged:
+        sigma = classes.get(tuple(x % r for x in v))
+        if sigma is not None:
+            least = -(-m // den)
+            table.append((v, m, least + (sigma - least) % r))
+    return den, table
+
+
+def _settled(table: tuple[int, list]) -> bool:
+    """Whether each point's least height in its class is its least dilation."""
+    den, points = table
+    return all(least * den == m for _, m, least in points)
+
+
+def _pairs(table_j: tuple[int, list], table_k: tuple[int, list], r: int, height_bound: int):
+    """(y, w, low, high) for each pair of the two class tables with low <= H:
+    low the least T >= lambda'_J(y) + lambda'_K(w) in the class of high, and
+    high = least(y) + least(w).  K is sorted by its tag, so the loop over K
+    for one y stops at the first w that no height reaches."""
+    (den_j, points_j), (den_k, points_k) = table_j, table_k
     den = math.lcm(den_j, den_k)
-    scaled_j = [(y, m * (den // den_j)) for y, m in points_j]
-    scaled_k = sorted((m * (den // den_k), w) for w, m in points_k)
-    return den, scaled_j, scaled_k
+    scale_j, scale_k = den // den_j, den // den_k
+    points_k = sorted((m * scale_k, w, least) for w, m, least in points_k)
+    for y, m, least_y in points_j:
+        a = m * scale_j
+        for b, w, least_w in points_k:
+            low = -((-a - b) // den)
+            if low > height_bound:
+                break
+            high = least_y + least_w
+            low += (high - low) % r
+            if low <= height_bound:
+                yield y, w, low, high
 
 
 @functools.lru_cache(maxsize=512)
 def check_braun_multivariate(witness: FreeSumWitness, height_bound: int) -> BraunVerdict:
     """Compare sigma of the hull cone with the one-minus-monomial product.
 
-    For a free sum both sides are read off the pairs of tagged points that
-    ``_pair_table`` prepares.  Classification makes span(J) and span(K)
-    independent, with complementary lattices, so every lattice point (z, T)
-    that either side counts splits uniquely as z = y + w with y and w
-    integer points of the two spans.  Let low = ceil(lambda_J(y) +
-    lambda_K(w)) and high = ceil(lambda_J(y)) + ceil(lambda_K(w)), lambda
-    the least dilations.
-    - The hull cone holds (z, T) iff lambda_J(y) + lambda_K(w) <= T, that is
-      iff low <= T (the argument of ``decompose_sigma``, which checks it
-      against direct enumeration).
-    - sigma_J * sigma_K has coefficient #{(s, t): s >= ceil(lambda_J(y)),
-      t >= ceil(lambda_K(w)), s + t = T} there, since y lies in s*J iff
-      s >= lambda_J(y); times (1 - z_{n+1}) that is [high <= T].
-    - low <= high, so the residual at (z, T) is [low <= T < high], 0 or 1.
-      The counterexample, the lex-smallest exponent where the sides differ,
-      is (y + w, low) for the lex-smallest y + w with low < high and low <= H,
-      where the hull has 1 and the product 0.
-    A pair with low <= H has both least dilations at most H, so the points
-    of H*J and H*K hold every pair that counts.  If every least dilation on
-    one side is an integer, low = high for every pair and the residual is
-    zero, so K is tagged first and H*J is not enumerated when K settles it.
-
-    Affine free sums (p != 0) are the one remaining branch: they enumerate
-    the hull cone and multiply sigma_J * sigma_K by (1 - z^(r*alpha(p)))
-    with ``series_mul`` until an affine table matches that path.
+    Both sides are read off the pairs of class tables (``_class_table``) of
+    r*(J - p) and r*(K - p), r = den(p); for a free sum (p = 0, r = 1) these
+    are the tagged points of H*J and H*K themselves.
+    - A lattice point (x, s) of cone(J) is x = s*p + a with a in s*(J - p),
+      that is s >= lambda'_J(a), lambda' the least dilation in J - p (and of
+      v = r*a in r*(J - p)).  The offset v = r*x - s*r*p lies in r*Lambda^p
+      and in the span of J - p.  Conversely such a v is v = c*r*p (mod r)
+      for exactly one c mod r, as r*p has order r mod r, and x = s*p + v/r
+      is integral iff s is in the class sigma(v) = -c mod r.  K is the same.
+    - Classification makes the spans independent and their lattices
+      complementary in r*Lambda^p, so every lattice point (z, T) of either
+      side is z = T*p + (v + w)/r for exactly one pair (v, w) of the tables,
+      with T in the class sigma(v) + sigma(w).  Let low be the least T in
+      that class with T >= lambda'_J(v) + lambda'_K(w), and high = s_min(v)
+      + t_min(w), each the least value in its class at or above its lambda'.
+    - conv(J u K) - p is the free sum of J - p and K - p, whose least
+      dilations add, so the hull cone holds (z, T) iff lambda'_J +
+      lambda'_K <= T, that is iff low <= T (the argument of
+      ``decompose_sigma``, which checks it against direct enumeration at
+      p = 0).
+    - sigma_J * sigma_K has coefficient #{(s, t): s >= s_min(v), t >=
+      t_min(w), s + t = T, both in their classes} there; times (1 -
+      z^(r*alpha(p))), which moves T by r and keeps (v, w), that is [high <=
+      T].  So the residual at (z, T) is [low <= T < high], 0 or 1.
+    - low <= high, both in one class, and high < lambda'_J + lambda'_K + 2r
+      <= low + 2r, so high - low is 0 or r: a pair adds 1 to the residual at
+      T = low iff low < high and low <= H, at the exponent ((T*r*p + v +
+      w)/r, T).  The counterexample, the lex-smallest exponent where the
+      sides differ, is the least such exponent, where the hull has 1 and the
+      product 0.  With r = 1 this is low = ceil(lambda_J + lambda_K) and high
+      = ceil(lambda_J) + ceil(lambda_K).
+    A pair with low <= H has both lambda' at most H, so the points of
+    H*r(J - p) and H*r(K - p) hold every pair that counts.  If every point of
+    one table has an integer lambda' in its own class, then low = high for
+    every pair and the residual is zero, so K is tagged first and H*r(J - p)
+    is not enumerated when K settles it.  A negative height bound raises in
+    ``tagged_lattice_points``.
 
     Cached, like ``sigma_cone``: the verdict is frozen and its residual is a
     read-only series, so callers share no mutable state."""
-    if witness.kind == FREE_SUM:
-        if height_bound < 0:
-            raise InputError("height bound must be nonnegative")
-        tagged_k = tagged_lattice_points(witness.k, height_bound)
-        tagged_j = (1, ())
-        if any(m % tagged_k[0] for _, m in tagged_k[1]):
-            tagged_j = tagged_lattice_points(witness.j, height_bound)
-        if not any(m % tagged_j[0] for _, m in tagged_j[1]):
-            tagged_j = (1, ())  # low = high for every pair: no pair counts
-        den, scaled_j, scaled_k = _pair_table(tagged_j, tagged_k)
-        terms: dict[tuple[int, ...], int] = {}
-        for y, a in scaled_j:
-            ceil_a = -(-a // den)
-            for b, w in scaled_k:
-                low = -((-a - b) // den)
-                if low > height_bound:
-                    break
-                high = min(ceil_a - (-b // den), height_bound + 1)
+    p, r = witness.intersection_point, witness.r
+    rp = witness.factor_exponent[:-1]
+    table_k = _class_table(witness.k, p, r, height_bound)
+    terms: dict[tuple[int, ...], int] = {}
+    if not _settled(table_k):
+        table_j = _class_table(witness.j, p, r, height_bound)
+        if not _settled(table_j):
+            for v, w, low, high in _pairs(table_j, table_k, r, height_bound):
                 if low < high:
-                    base = tuple(u + v for u, v in zip(y, w))
-                    for t in range(low, high):
-                        key = base + (t,)
-                        terms[key] = terms.get(key, 0) + 1
-        residual = TruncatedSeries(witness.j.dim + 1, height_bound, terms)
-        counterexample = (min(terms), 1, 0) if terms else None
-        return BraunVerdict(
-            not terms, height_bound, witness.factor_exponent, counterexample, residual
-        )
-    hull = hull_union(witness.j, witness.k)
-    lhs = sigma_cone(cone_over(hull), height_bound)
-    product = series_mul(
-        sigma_cone(cone_over(witness.j), height_bound),
-        sigma_cone(cone_over(witness.k), height_bound),
-    )
-    rhs = apply_one_minus_monomial(product, witness.factor_exponent)
-    residual = lhs - rhs
-    difference = lhs.first_difference(rhs)
-    counterexample = None
-    if difference is not None:
-        counterexample = (difference[0], difference[1], difference[2])
+                    key = tuple((low * c + a + b) // r for c, a, b in zip(rp, v, w)) + (low,)
+                    terms[key] = terms.get(key, 0) + 1
+    residual = TruncatedSeries(witness.j.dim + 1, height_bound, terms)
+    counterexample = (min(terms), 1, 0) if terms else None
     return BraunVerdict(
-        difference is None, height_bound, witness.factor_exponent, counterexample, residual
+        not terms, height_bound, witness.factor_exponent, counterexample, residual
     )
 
 
@@ -379,7 +399,8 @@ def decompose_sigma(
     the points (w, s) of cone(K) shifted down by that gap, those with
     s >= lambda_K(w) - i/d, which is t + s >= lambda(y) + lambda_K(w).  So
     the pair (y, w) maps y + w to ceil(lambda(y) + lambda_K(w)) if that is
-    at most H, and then lambda_K(w) <= H.
+    at most H, and then lambda_K(w) <= H: the low of ``_pairs`` at r = 1,
+    read off the tables the Braun check reads.
 
     The check is the split check.  Classification makes span(P) and span(K)
     independent, so a hull point (z, T) has at most one real split z = y + w,
@@ -396,16 +417,11 @@ def decompose_sigma(
             "the shifted-envelope decomposition applies to free sums at the origin",
             "not-a-free-sum-at-origin",
         )
-    den, scaled_p, scaled_k = _pair_table(
-        tagged_lattice_points(p, height_bound), tagged_lattice_points(k, height_bound)
-    )
+    zero = (0,) * p.dim
+    tables = (_class_table(q, zero, 1, height_bound) for q in (p, k))
     lows: dict[Vector, list[int]] = {}
-    for y, a in scaled_p:
-        for b, w in scaled_k:
-            low = -((-a - b) // den)
-            if low > height_bound:
-                break
-            lows.setdefault(tuple(map(operator.add, y, w)), []).append(low)
+    for y, w, low, _ in _pairs(*tables, 1, height_bound):
+        lows.setdefault(tuple(map(operator.add, y, w)), []).append(low)
     heights = {z: h[0] for z, h in lows.items()}
     hull_den, hull_points = tagged_lattice_points(hull_union(p, k), height_bound)
     direct = {z: -(-m // hull_den) for z, m in hull_points}

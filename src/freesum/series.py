@@ -56,6 +56,7 @@ class TruncatedSeries:
         if self.num_vars != other.num_vars:
             raise InputError("series variable counts differ")
 
+    # No package module adds series; bench/tracer.py wraps this by name.
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check_compatible(other)
         bound = min(self.height_bound, other.height_bound)
@@ -64,24 +65,6 @@ class TruncatedSeries:
             if e[-1] <= bound:
                 out[e] = out.get(e, 0) + c
         return TruncatedSeries(self.num_vars, bound, _pruned(out))
-
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(self.num_vars, self.height_bound, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return self + (-other)
-
-    def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return series_mul(self, other)
-
-    def first_difference(self, other: TruncatedSeries):
-        """Lex-smallest exponent where the two series differ, or None."""
-        self._check_compatible(other)
-        exps = sorted(self.terms.keys() | other.terms.keys())
-        for e in exps:
-            if self.coefficient(e) != other.coefficient(e):
-                return e, self.coefficient(e), other.coefficient(e)
-        return None
 
 
 @frozen
@@ -117,6 +100,7 @@ def sigma_cone(cone: ConeOverPolytope, height_bound: int) -> TruncatedSeries:
     return TruncatedSeries(cone.ambient_dim, height_bound, terms)
 
 
+# No package module multiplies series; bench/tracer.py wraps this by name.
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Exact product, computed slice by slice in the height grading."""
     if a.num_vars != b.num_vars:
@@ -138,21 +122,6 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
                     key = tuple(x + y for x, y in zip(ea, eb))
                     out[key] = out.get(key, 0) + ca * cb
     return TruncatedSeries(a.num_vars, bound, _pruned(out))
-
-
-def apply_one_minus_monomial(s: TruncatedSeries, exp) -> TruncatedSeries:
-    """Multiply by (1 - z^exp); the exponent must have positive height."""
-    exp = tuple(int(x) for x in exp)
-    if len(exp) != s.num_vars:
-        raise InputError("exponent arity mismatch")
-    if exp[-1] <= 0:
-        raise InputError("monomial must have positive height")
-    out = s.terms.copy()
-    for e, c in s.terms.items():
-        shifted = tuple(x + y for x, y in zip(e, exp))
-        if shifted[-1] <= s.height_bound:
-            out[shifted] = out.get(shifted, 0) - c
-    return TruncatedSeries(s.num_vars, s.height_bound, _pruned(out))
 
 
 def ehrhart_series(p: RationalPolytope, height_bound: int) -> UnivariateSeries:

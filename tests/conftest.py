@@ -17,7 +17,7 @@ from pathlib import Path
 import freesum.freesums
 from freesum import RationalPolytope, TruncatedSeries, UnivariateSeries, cone_over
 from freesum.corpus import CorpusPair
-from freesum.errors import PreconditionError
+from freesum.errors import InputError, PreconditionError
 from freesum.jsonio import format_point, parse_polytope
 from freesum.linalg import (
     LatticeBasis,
@@ -97,6 +97,36 @@ def geometric_series(exp, num_vars: int, height_bound: int) -> TruncatedSeries:
         terms[tuple(j * x for x in exp)] = 1
         j += 1
     return TruncatedSeries(num_vars, height_bound, terms)
+
+
+def apply_one_minus_monomial(s: TruncatedSeries, exp) -> TruncatedSeries:
+    """Multiply by (1 - z^exp); the exponent must have positive height."""
+    exp = tuple(int(x) for x in exp)
+    if len(exp) != s.num_vars:
+        raise InputError("exponent arity mismatch")
+    if exp[-1] <= 0:
+        raise InputError("monomial must have positive height")
+    out = dict(s.terms)
+    for e, c in s.terms.items():
+        shifted = tuple(x + y for x, y in zip(e, exp))
+        if shifted[-1] <= s.height_bound:
+            out[shifted] = out.get(shifted, 0) - c
+    return TruncatedSeries(s.num_vars, s.height_bound, {e: c for e, c in out.items() if c})
+
+
+def series_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a - b, truncated at the lower of the two bounds."""
+    return a + TruncatedSeries(b.num_vars, b.height_bound, {e: -c for e, c in b.terms.items()})
+
+
+def first_difference(a: TruncatedSeries, b: TruncatedSeries):
+    """(e, a_e, b_e) at the lex-smallest exponent e where the series differ, or None."""
+    if a.num_vars != b.num_vars:
+        raise InputError("series variable counts differ")
+    for e in sorted(a.terms.keys() | b.terms.keys()):
+        if a.coefficient(e) != b.coefficient(e):
+            return e, a.coefficient(e), b.coefficient(e)
+    return None
 
 
 def specialize_to_univariate(s: TruncatedSeries) -> UnivariateSeries:

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from freesum import (
     RationalPolytope,
-    apply_one_minus_monomial,
     check_braun_multivariate,
     classify_sum,
     cone_over,
@@ -29,16 +28,16 @@ from freesum import (
     lattice_points_in_dilate,
     llenv_points,
     polar_dual,
-    series_mul,
     shifted_envelope_lattice_points,
     sigma_cone,
 )
 from freesum.errors import ClassificationError
 from freesum.polytopes import lattice_points_in_scaled
-from freesum.series import TruncatedSeries, poly_mul
+from freesum.series import TruncatedSeries, poly_mul, series_mul
 
 from conftest import (
     F,
+    apply_one_minus_monomial,
     axis_seg,
     corpus_pairs,
     diamond,

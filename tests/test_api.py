@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import subprocess
 import sys
 import types
@@ -50,6 +51,29 @@ def test_every_export_has_a_caller_in_the_package():
                     used.add(node.attr)
     unused = sorted(set(freesum.__all__) - used)
     assert unused == sorted(UNUSED_EXPORTS)
+
+
+def _traced_names() -> tuple:
+    """``TRACED`` of ``bench/tracer.py``, read from its source, not imported."""
+    tracer = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no TRACED")
+
+
+@pytest.mark.parametrize("traced", _traced_names(), ids=".".join)
+def test_traced_names_resolve(traced):
+    """Each traced function resolves the way the tracer's ``install`` looks it
+    up: attributes down to its owner, then the owner's ``__dict__``.  Moving
+    or renaming one breaks ``--trace 1`` runs, which this suite does not make."""
+    module_name, qualname = traced
+    owner = importlib.import_module(f"freesum.{module_name}")
+    *path, attr = qualname.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    raw = owner.__dict__[attr]
+    assert callable(getattr(raw, "__func__", raw))
 
 
 @pytest.mark.parametrize(

@@ -23,14 +23,16 @@ from hypothesis import strategies as st
 from freesum import (
     RationalPolytope,
     TruncatedSeries,
+    check_braun_multivariate,
+    classify_sum,
     decompose_sigma,
     dual_denominator,
-    series_mul,
     shifted_envelope_lattice_points,
     shifted_envelope_nonempty,
 )
 from freesum.errors import InputError, PreconditionError
 from freesum.polytopes import lattice_points_in_scaled, tagged_lattice_points
+from freesum.series import series_mul
 
 from conftest import F, height_map_series, indicator_series, min_dilation, poly
 
@@ -118,6 +120,13 @@ def test_tagged_walk_rejects_negative_heights():
         decompose_sigma(poly(2, (-1, 0), (2, 0)), poly(2, (0, -1), (0, 1)), -1)
     with pytest.raises(InputError):
         shifted_envelope_nonempty(seg, F(1, 2), 1, F(-1, 2))
+    with pytest.raises(InputError):
+        shifted_envelope_lattice_points(seg, 0, -1)
+    free = classify_sum(poly(2, (-1, 0), (2, 0)), poly(2, (0, -1), (0, 1)))
+    affine = classify_sum(poly(2, (0, 0), (1, 0)), poly(2, (F(1, 2), -1), (F(1, 2), 1)))
+    for witness in (free, affine):
+        with pytest.raises(InputError):
+            check_braun_multivariate(witness, -1)
 
 
 @st.composite

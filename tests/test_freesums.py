@@ -11,7 +11,6 @@ from freesum import (
     AFFINE_FREE_SUM,
     FREE_SUM,
     RationalPolytope,
-    apply_one_minus_monomial,
     check_braun_multivariate,
     check_braun_univariate,
     classify_sum,
@@ -34,15 +33,18 @@ from freesum.series import series_mul
 from conftest import (
     SPLIT_FAULTS,
     F,
+    apply_one_minus_monomial,
     axis_seg,
     break_split,
     corpus_pairs,
     diamond,
     epsilon_project,
+    first_difference,
     height_map_series,
     poly,
     pos_hull_membership,
     segment,
+    series_sub,
     sigma_cone_by_heights,
     specialize_to_univariate,
 )
@@ -194,7 +196,7 @@ def braun_by_series(witness, bound):
     sigma_j, sigma_k = (sigma_cone_by_heights(cone_over(p), bound) for p in (witness.j, witness.k))
     product = series_mul(sigma_j, sigma_k)
     rhs = apply_one_minus_monomial(product, witness.factor_exponent)
-    return lhs == rhs, lhs.first_difference(rhs), lhs - rhs
+    return lhs == rhs, first_difference(lhs, rhs), series_sub(lhs, rhs)
 
 
 def assert_braun_matches_series(witness, bound):
@@ -205,18 +207,32 @@ def assert_braun_matches_series(witness, bound):
     assert verdict.residual == residual
 
 
-FREE_CORPUS = [
-    pair
-    for pair in corpus_pairs()
-    if pair.modes and not any(classify_sum(pair.a, pair.b).intersection_point)
-]
+# Every corpus pair that classifies, free and affine free sums alike.
+CLASSIFIED_CORPUS = [pair for pair in corpus_pairs() if pair.modes]
 
 
-@pytest.mark.parametrize("pair", FREE_CORPUS, ids=lambda pair: pair.name)
+@pytest.mark.parametrize("pair", CLASSIFIED_CORPUS, ids=lambda pair: pair.name)
 def test_braun_table_matches_series_on_corpus(pair):
     witness = classify_sum(pair.a, pair.b)
-    for bound in range(11):
+    for bound in range(13):
         assert_braun_matches_series(witness, bound)
+
+
+def sheared(draw, n):
+    """A drawn unimodular shear of R^n (ones on the diagonal, entries in
+    {-1, 0, 1} above it, rows reversed or not), as the map from a point list
+    to the polytope spanned by its image."""
+    shear = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            shear[i][j] = draw(st.integers(-1, 1))
+    if draw(st.booleans()):
+        shear.reverse()
+
+    def image(pts):
+        return poly(n, *(tuple(sum(a * x for a, x in zip(row, v)) for row in shear) for v in pts))
+
+    return image
 
 
 @st.composite
@@ -236,16 +252,7 @@ def free_sums(draw):
             pts.append(tuple(next(values) if i in axes else 0 for i in range(n)))
         return pts
 
-    shear = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            shear[i][j] = draw(st.integers(-1, 1))
-    if draw(st.booleans()):
-        shear.reverse()
-
-    def image(pts):
-        return poly(n, *(tuple(sum(a * x for a, x in zip(row, v)) for row in shear) for v in pts))
-
+    image = sheared(draw, n)
     return image(summand(range(m))), image(summand(range(m, n)))
 
 
@@ -257,6 +264,46 @@ def test_braun_table_matches_series_on_free_sums(pair, bound):
     j, k = pair
     witness = classify_sum(j, k)
     assert witness.kind == FREE_SUM
+    assert_braun_matches_series(witness, bound)
+
+
+@st.composite
+def affine_free_sums(draw):
+    """An affine free sum in R^2 or R^3 through a point p with denominator
+    r in {2, 3, 4}: p's fractional part sits in the first m coordinates or
+    in the others, so r*Lambda^p is a product of lattices on the two
+    coordinate blocks and the spans' lattices are complementary.  J is p
+    plus the hull of the origin and rational points of the first block, K
+    the same in the second, and one unimodular shear, as in ``free_sums``,
+    moves both off the coordinate subspaces."""
+    n = draw(st.sampled_from((2, 3)))
+    m = draw(st.integers(1, n - 1))
+    r = draw(st.integers(2, 4))
+    coord = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
+    fractional = range(m) if draw(st.booleans()) else range(m, n)
+    p = [F(draw(st.integers(-1, 1))) for _ in range(n)]
+    for i in fractional:
+        numerators = (1, r - 1) if i == fractional[0] else range(r)
+        p[i] += F(draw(st.sampled_from(numerators)), r)
+
+    def summand(axes):
+        pts = [tuple(p)]
+        for _ in range(draw(st.integers(1, 2))):
+            values = iter([draw(coord) for _ in axes])
+            pts.append(tuple(x + next(values) if i in axes else x for i, x in enumerate(p)))
+        return pts
+
+    image = sheared(draw, n)
+    return image(summand(range(m))), image(summand(range(m, n)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(affine_free_sums(), st.integers(0, 5))
+@example((poly(2, (0, 0), (1, 0)), poly(2, (F(1, 2), -1), (F(1, 2), 1))), 5)
+def test_braun_table_matches_series_on_affine_free_sums(pair, bound):
+    j, k = pair
+    witness = classify_sum(j, k)
+    assert witness.kind == AFFINE_FREE_SUM and witness.r in (2, 3, 4)
     assert_braun_matches_series(witness, bound)
 
 
@@ -287,6 +334,34 @@ def test_braun_settles_integral_side_without_enumerating_the_other(monkeypatch):
         assert verdict.holds_up_to_bound == holds
         assert verdict.counterexample == counterexample
         assert verdict.residual == residual
+
+
+def test_braun_settles_integral_side_of_an_affine_sum(monkeypatch):
+    """J the triangle (0,0,0), (1,0,0), (0,1,0) and K the segment from
+    (1/3,1/3,-1/3) to (1/3,1/3,1/3) meet at p = (1/3,1/3,0), r = 3.  The kept
+    points of H*3(K - p) are (0, 0, 3i), each with the integer least dilation
+    3|i| in its class 0 mod 3, so every pair has low = high: only K is
+    tagged, and the verdict still equals the series oracle."""
+    j = poly(3, (0, 0, 0), (1, 0, 0), (0, 1, 0))
+    k = poly(3, (F(1, 3), F(1, 3), F(-1, 3)), (F(1, 3), F(1, 3), F(1, 3)))
+    witness = classify_sum(j, k)
+    assert witness.kind == AFFINE_FREE_SUM and witness.r == 3
+    recentred_k = k.translate((F(-1, 3), F(-1, 3), 0)).dilate(3)
+    real = freesum.freesums.tagged_lattice_points
+    tagged = []
+
+    def recording(p, bound):
+        tagged.append((p, bound))
+        return real(p, bound)
+
+    monkeypatch.setattr(freesum.freesums, "tagged_lattice_points", recording)
+    for bound in range(9):
+        tagged.clear()
+        verdict = check_braun_multivariate.__wrapped__(witness, bound)
+        assert tagged == [(recentred_k, bound)]
+        assert verdict.holds_up_to_bound
+        holds, counterexample, residual = braun_by_series(witness, bound)
+        assert holds and counterexample is None and not residual.terms
 
 
 def test_braun_univariate_octahedron():

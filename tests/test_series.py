@@ -8,24 +8,25 @@ import pytest
 
 from freesum import (
     TruncatedSeries,
-    apply_one_minus_monomial,
     cone_over,
     delta_polynomial,
     ehrhart_series,
-    series_mul,
     shifted_envelope_lattice_points,
     sigma_cone,
 )
 from freesum.errors import InputError, TruncationError
-from freesum.series import poly_divmod, poly_mul, poly_pow
+from freesum.series import poly_divmod, poly_mul, poly_pow, series_mul
 
 from conftest import (
     F,
+    apply_one_minus_monomial,
     diamond,
+    first_difference,
     geometric_series,
     poly,
     segment,
     series_one,
+    series_sub,
     specialize_to_univariate,
 )
 
@@ -105,6 +106,14 @@ def test_apply_one_minus_monomial_basics():
     assert s.terms == {(0, 0): 1, (0, 1): -1}
     with pytest.raises(InputError):
         apply_one_minus_monomial(one, (1, 0))
+
+
+def test_series_difference_oracle():
+    a = TruncatedSeries(2, 2, {(0, 0): 1, (1, 1): 2})
+    b = TruncatedSeries(2, 2, {(0, 0): 1, (-1, 1): 1})
+    assert series_sub(a, b).terms == {(1, 1): 2, (-1, 1): -1}
+    assert first_difference(a, b) == ((-1, 1), 0, 1)
+    assert first_difference(a, a) is None
 
 
 def test_one_minus_height_monomial_is_envelope_indicator():
