@@ -124,7 +124,10 @@ def llenv_points(cone: ConeOverPolytope, p, height_bound: int) -> list[tuple[QVe
             vec = tuple(cap * a - num * b for a, b in zip(y + (t,), ap_int))
             g = math.gcd(cap, *vec)
             seen.add((cap // g, tuple(a // g for a in vec)))
-    return sorted((tuple(Fraction(a, q) for a in vec), q == 1) for q, vec in seen)
+    # vec/cap in lex order is vec scaled to the lcm of the caps in lex order.
+    scale = math.lcm(*(q for q, _ in seen))
+    ordered = sorted(seen, key=lambda e: tuple(a * (scale // e[0]) for a in e[1]))
+    return [(tuple(Fraction(a, q) for a in vec), q == 1) for q, vec in ordered]
 
 
 def shifted_envelope_lattice_points(

@@ -3,16 +3,19 @@
 Classification runs the lattice-complementarity criterion: the two summands
 must meet in a single rational point p, and the direction-space lattices of
 the recentered summands must be complementary inside the refined lattice
-generated by the standard basis and p.  The product-formula checks compare
-truncated generating functions coefficient by coefficient.  Both sides are
-read off one table of pairs of tagged lattice points: for an affine free sum
-through p, r = den(p), the points v of H*r(J - p) in r*Lambda^p, each in
-the class sigma(v) mod r of the heights s at which v/r + s*p is integral,
-and those of H*r(K - p) (for a free sum, p = 0 and r = 1, the points of H*J
-and H*K).  ``check_braun_multivariate`` reads the residual off it for both
-kinds, and the split check is ``decompose_sigma``'s comparison of the r = 1
-table with direct enumeration; ``decomposition_check`` is the per-point
-form, which also covers affine free sums.
+generated by the standard basis and p.  That is one integer identity, I(J u
+K) = I(J) * I(K) > 0, for I the gcd of the maximal minors of the direction
+rows in coordinates of r*Lambda^p, r = den(p): the index of their lattice in
+its saturation.  The product-formula checks compare truncated generating
+functions coefficient by coefficient.  Both sides are read off one table of
+pairs of tagged lattice points: for an affine free sum through p, the points
+v of H*r(J - p) in r*Lambda^p, each in the class sigma(v) mod r of the
+heights s at which v/r + s*p is integral, and those of H*r(K - p) (for a
+free sum, p = 0 and r = 1, the points of H*J and H*K).
+``check_braun_multivariate`` reads the residual off it for both kinds, and
+the split check is ``decompose_sigma``'s comparison of the r = 1 table with
+direct enumeration; ``decomposition_check`` is the per-point form, which
+also covers affine free sums.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import operator
 from fractions import Fraction
 
 from .cones import (
-    LambdaP,
     cone_over,
     lambda_p,
     llenv_points,
@@ -36,13 +38,10 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import (
-    LatticeBasis,
     QVector,
     Vector,
-    canonical_basis,
     complementary_in,
     invert_rational,
-    lattice_basis_of_span,
     qvec,
     rational_rank,
     solve_linear,
@@ -75,20 +74,16 @@ AFFINE_FREE_SUM = "affine_free_sum"
 
 @frozen
 class FreeSumWitness:
-    """Evidence that conv(J u K) is a (possibly affine) free sum.
-
-    The two sublattice bases live inside ``target``; for affine sums all
-    three are scaled by r = den(p) so they are honest integer lattices.
-    """
+    """Evidence that conv(J u K) is a (possibly affine) free sum: J and K meet
+    in the one point p = ``intersection_point``, r = den(p), and the direction
+    rows of J and K have saturation indices I(J u K) = I(J) * I(K) > 0 in
+    coordinates of r*Lambda^p, so they cut complementary lattices out of it."""
 
     j: RationalPolytope
     k: RationalPolytope
     kind: str
     intersection_point: QVector
     r: int
-    sublattice_j: LatticeBasis
-    sublattice_k: LatticeBasis
-    target: LatticeBasis
 
     @property
     def factor_exponent(self) -> tuple[int, ...]:
@@ -143,28 +138,6 @@ def hull_union(j: RationalPolytope, k: RationalPolytope) -> RationalPolytope:
     return RationalPolytope.from_points(j.dim, j.vertices + k.vertices)
 
 
-def _span_cap_lattice(directions, lattice: LatticeBasis) -> LatticeBasis:
-    """Canonical basis of span(directions) intersected with the given lattice."""
-    coords = [lattice.coordinates(v) for v in directions]
-    saturated = lattice_basis_of_span(coords, lattice.rank)
-    rows = [lattice.point_from_coordinates(c) for c in saturated.vectors]
-    return canonical_basis([tuple(int(x) for x in r) for r in rows], lattice.ambient_dim)
-
-
-def _split_lattices(
-    j: RationalPolytope, k: RationalPolytope, p: QVector
-) -> tuple[LambdaP, LatticeBasis, LatticeBasis]:
-    """The refinement Lambda^p, stored scaled by r = den(p), and the lattices
-    of the direction spaces of J and K inside r*Lambda^p."""
-    refinement = lambda_p(p)
-    target = refinement.scaled_basis
-    return (
-        refinement,
-        _span_cap_lattice(direction_basis(j), target),
-        _span_cap_lattice(direction_basis(k), target),
-    )
-
-
 @functools.lru_cache(maxsize=512)
 def classify_sum(j: RationalPolytope, k: RationalPolytope) -> FreeSumWitness:
     """Classify conv(J u K) as a free sum or affine free sum.
@@ -189,23 +162,19 @@ def classify_sum(j: RationalPolytope, k: RationalPolytope) -> FreeSumWitness:
         raise ClassificationError(
             "affine spans intersect in more than a point", "spans-intersect-in-flat"
         )
-    p = tuple(
-        v + sum(sol[i] * dirs_j[i][t] for i in range(len(dirs_j)))
-        for t, v in enumerate(v0)
-    )
+    p = tuple(v + sum(c * d[t] for c, d in zip(sol, dirs_j)) for t, v in enumerate(v0))
     if not (j.contains(p) and k.contains(p)):
         raise ClassificationError(
             "intersection point of the affine spans is not in both summands",
             "intersection-point-outside",
         )
-    refinement, sub_j, sub_k = _split_lattices(j, k, p)
-    target = refinement.scaled_basis
-    if not complementary_in(target, sub_j, sub_k):
+    refinement = lambda_p(p)
+    if not complementary_in(refinement.scaled_basis, dirs_j, dirs_k):
         raise ClassificationError(
             "recentered span lattices are not complementary", "not-complementary"
         )
     kind = FREE_SUM if all(x == 0 for x in p) else AFFINE_FREE_SUM
-    return FreeSumWitness(j, k, kind, p, refinement.r, sub_j, sub_k, target)
+    return FreeSumWitness(j, k, kind, p, refinement.r)
 
 
 def envelope_condition_check(j: RationalPolytope, p, height_bound: int) -> EnvelopeCondition:
@@ -218,10 +187,14 @@ def envelope_condition_check(j: RationalPolytope, p, height_bound: int) -> Envel
     if not j.contains(p):
         raise PreconditionError("projection point must lie in the summand", "point-not-in-summand")
     points = llenv_points(cone_over(j), p, height_bound)
-    for point, is_lattice in points:
-        if not is_lattice:
-            return EnvelopeCondition(False, point)
-    return EnvelopeCondition(True, None)
+    witness = next((point for point, is_lattice in points if not is_lattice), None)
+    return EnvelopeCondition(witness is None, witness)
+
+
+def _classes(p: QVector, r: int) -> dict[Vector, int]:
+    """Each residue c*r*p mod r of r*Lambda^p mapped to its class -c mod r."""
+    rp = tuple(int(r * x) for x in p)
+    return {tuple(c * x % r for x in rp): -c % r for c in range(r)}
 
 
 def _class_table(q: RationalPolytope, p: QVector, r: int, height_bound: int) -> tuple[int, list]:
@@ -230,8 +203,7 @@ def _class_table(q: RationalPolytope, p: QVector, r: int, height_bound: int) -> 
     ``tagged_lattice_points`` and least the least s >= lambda'(v) in v's
     class sigma(v) = -c mod r, where v = c*r*p (mod r).  At p = 0 (r = 1)
     Q itself is tagged, every point is kept and least = ceil(lambda')."""
-    rp = tuple(int(r * x) for x in p)
-    classes = {tuple(c * x % r for x in rp): -c % r for c in range(r)}
+    classes = _classes(p, r)
     if any(p):
         q = q.translate(tuple(-x for x in p)).dilate(r)
     den, tagged = tagged_lattice_points(q, height_bound)
@@ -419,13 +391,16 @@ def decompose_sigma(
         )
     zero = (0,) * p.dim
     tables = (_class_table(q, zero, 1, height_bound) for q in (p, k))
-    lows: dict[Vector, list[int]] = {}
-    for y, w, low, _ in _pairs(*tables, 1, height_bound):
-        lows.setdefault(tuple(map(operator.add, y, w)), []).append(low)
-    heights = {z: h[0] for z, h in lows.items()}
+    pairs = [
+        (tuple(map(operator.add, y, w)), low) for y, w, low, _ in _pairs(*tables, 1, height_bound)
+    ]
+    heights = dict(pairs)
     hull_den, hull_points = tagged_lattice_points(hull_union(p, k), height_bound)
     direct = {z: -(-m // hull_den) for z, m in hull_points}
-    if sum(map(len, lows.values())) > len(lows) or heights != direct:
+    if len(pairs) > len(heights) or heights != direct:
+        lows: dict[Vector, list[int]] = {}
+        for z, low in pairs:
+            lows.setdefault(z, []).append(low)
         for z, t in itertools.product(sorted(lows.keys() | direct.keys()), range(height_bound + 1)):
             splits, expected = sum(h <= t for h in lows.get(z, ())), int(direct.get(z, t + 1) <= t)
             if splits != expected:
@@ -497,38 +472,42 @@ def decomposition_check(
     """Existence and uniqueness of the split z = x + y over the hull cone.
 
     For every lattice point z = (z', t) of cone(conv(J u K)) up to the height
-    bound, the offset v = r*(z' - t*p), r = den(p), is split in integer
-    coordinates of the lattices of the two direction spaces inside
-    r*Lambda^p.  z passes when the split is integral and the least dilations
-    of its two parts in the recentred summands r*(J - p) and r*(K - p) add up
-    to at most t: then x = (a_J/r + mu*p, mu), with a_J the J part and mu its
-    least dilation, is the one candidate on the projected lattice envelope of
-    cone(J) with z - x in cone(K).  Exactly-one is structural once the
-    direction spans meet trivially.  Requires p in both summands.
+    bound, the offset v = r*(z' - t*p) in r*Lambda^p, r = den(p), is split
+    along the direction rows of J and K as v = a_J + a_K.  z passes when a_J,
+    and so a_K, lies in r*Lambda^p and the least dilations of a_J and a_K in
+    r*(J - p) and r*(K - p) add up to at most t: then x = (a_J/r + mu*p, mu),
+    mu the least dilation of a_J/r, is the one candidate on the projected
+    lattice envelope of cone(J) with z - x in cone(K).  Exactly-one is
+    structural once the direction spans meet trivially; the splits lie in
+    r*Lambda^p for every z iff the saturation indices of the direction rows
+    there have I(J u K) = I(J) * I(K) (``complementary_in``).  Requires p in
+    both summands and a nonnegative height bound.
     """
     p = qvec(p)
     n = j.dim
+    if height_bound < 0:
+        raise InputError("height bound must be nonnegative")
     if not j.contains(p):
         raise PreconditionError("projection point must lie in the first summand", "point-not-in-summand")
     if not k.contains(p):
         raise PreconditionError(
             "projection point must lie in the second summand", "point-not-in-summand"
         )
-    refinement, sub_j, sub_k = _split_lattices(j, k, p)
-    basis = sub_j.vectors + sub_k.vectors
+    dirs_j = direction_basis(j)
+    basis = dirs_j + direction_basis(k)
     if rational_rank(basis) != len(basis):
         raise PreconditionError("direction spaces intersect nontrivially", "spans-intersect-in-flat")
-    r = refinement.r
+    r = math.lcm(*(x.denominator for x in p))
     rp = tuple(int(r * x) for x in p)
-    # Rows of the left inverse (B^T B)^-1 B^T of the basis columns B that give
-    # the J coordinates, cleared to integers by their common denominator den.
+    classes = _classes(p, r)
+    # The left inverse (B^T B)^-1 B^T of the basis columns B; its first rows,
+    # the J coordinates, times the J rows are the map v -> a_J, cleared to
+    # integers by its common denominator den.
     gram_inv = invert_rational([[sum(a * b for a, b in zip(u, w)) for w in basis] for u in basis])
-    left = [
-        [sum(g * w[i] for g, w in zip(row, basis)) for i in range(n)]
-        for row in gram_inv[: sub_j.rank]
-    ]
-    den = math.lcm(*(x.denominator for row in left for x in row))
-    left = [[int(den * x) for x in row] for row in left]
+    left = [[sum(g * w[c] for g, w in zip(row, basis)) for c in range(n)] for row in gram_inv]
+    split = [[sum(w[i] * x[c] for w, x in zip(dirs_j, left)) for c in range(n)] for i in range(n)]
+    den = math.lcm(*(x.denominator for row in split for x in row))
+    split = [[int(den * x) for x in row] for row in split]
     # Least dilations in J - p are r times those in r*(J - p).
     hrep_j = cone_hrep(j.translate(tuple(-x for x in p)))
     hrep_k = cone_hrep(k.translate(tuple(-x for x in p)))
@@ -541,16 +520,15 @@ def decomposition_check(
             checked += 1
             # With p in J and K, z'/t lies in p + span(J - p) + span(K - p)
             # for t > 0 (and z = 0 at t = 0), so v always lies in the span of
-            # the two blocks and only the J coordinates are needed.
+            # the two blocks and only the J part is needed, scaled by den.
             v = [r * a - t * b for a, b in zip(z, rp)]
-            y = [sum(a * b for a, b in zip(row, v)) for row in left]
-            if any(c % den for c in y):
+            a_j = [sum(a * b for a, b in zip(row, v)) for row in split]
+            if any(x % den for x in a_j) or tuple(x // den % r for x in a_j) not in classes:
                 violations.append((z, 0))
                 continue
-            # The two parts scaled by den; least dilations scale along.
-            a_j = [sum(c * w[i] for c, w in zip(y, sub_j.vectors)) for i in range(n)]
+            a_j = [x // den for x in a_j]
             lam_j = _least_dilation(hrep_j, a_j)
-            lam_k = _least_dilation(hrep_k, [den * a - b for a, b in zip(v, a_j)])
-            if lam_j is None or lam_k is None or lam_j + lam_k > den * r * t:
+            lam_k = _least_dilation(hrep_k, [a - b for a, b in zip(v, a_j)])
+            if lam_j is None or lam_k is None or lam_j + lam_k > r * t:
                 violations.append((z, 0))
     return DecompositionReport(checked, tuple(violations))

@@ -359,14 +359,6 @@ class LatticeBasis:
         coords = self.coordinates(point)
         return coords is not None and all(c.denominator == 1 for c in coords)
 
-    def point_from_coordinates(self, coords) -> QVector:
-        coords = qvec(coords)
-        point = [Fraction(0)] * self.ambient_dim
-        for c, vec in zip(coords, self.vectors):
-            for i, x in enumerate(vec):
-                point[i] += c * x
-        return tuple(point)
-
 
 def canonical_basis(rows, ambient_dim: int) -> LatticeBasis:
     """HNF-canonical LatticeBasis for the lattice generated by integer rows."""
@@ -389,28 +381,41 @@ def lattice_basis_of_span(vectors, ambient_dim: int) -> LatticeBasis:
     return canonical_basis(saturated, ambient_dim)
 
 
-def complementary_in(target: LatticeBasis, a: LatticeBasis, b: LatticeBasis) -> bool:
-    """Whether sublattices ``a`` and ``b`` are complementary inside ``target``.
+def _det(m: list[list[int]]) -> int:
+    """Determinant of a small square integer matrix, by cofactor expansion."""
+    if len(m) <= 1:
+        return m[0][0] if m else 1
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return sum(
+        (-1) ** j * a * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j, a in enumerate(m[0])
+        if a
+    )
 
-    True iff the concatenation of the two bases generates exactly the set of
-    ``target`` points lying in the span of ``a`` and ``b`` together, i.e. the
-    spans meet trivially and every such target point splits uniquely as a sum.
-    Raises InputError when ``a`` or ``b`` is not contained in ``target``.
-    """
-    if not (target.ambient_dim == a.ambient_dim == b.ambient_dim):
-        raise InputError("ambient dimension mismatch")
-    coords_a = [target.coordinates(v) for v in a.vectors]
-    coords_b = [target.coordinates(v) for v in b.vectors]
-    for c in coords_a + coords_b:
-        if c is None or any(x.denominator != 1 for x in c):
-            raise InputError("sublattice is not contained in the target lattice")
-    joint = coords_a + coords_b
-    if rational_rank(joint) != a.rank + b.rank:
-        return False
-    k = target.rank
-    generated = canonical_basis([tuple(int(x) for x in c) for c in joint], k)
-    saturated = lattice_basis_of_span(joint, k)
-    return generated.vectors == saturated.vectors
+
+def _saturation_index(rows: list[Vector], ncols: int) -> int:
+    """Gcd of the maximal minors of integer rows: the index of their lattice
+    in its saturation, 0 when the rows are dependent."""
+    minors = itertools.combinations(range(ncols), len(rows))
+    return math.gcd(*(_det([[row[c] for c in cols] for row in rows]) for cols in minors))
+
+
+def complementary_in(target: LatticeBasis, a, b) -> bool:
+    """Whether the lattices Sat(a) = span(a) n target and Sat(b), for rational
+    rows a and b, are complementary: the spans meet in 0 and Sat(a) + Sat(b)
+    is all of Sat(a u b).  Let I(rows) be the gcd of the maximal minors of
+    the rows in coordinates of ``target``, cleared to primitive integer rows:
+    the index of their lattice in its saturation, 0 for dependent rows.  As
+    I(a u b) = [Sat(a u b) : Sat(a) + Sat(b)] * I(a) * I(b), the test is
+    I(a u b) = I(a) * I(b) > 0.  A row off the span of ``target`` raises."""
+    rows = [target.coordinates(v) for v in (*a, *b)]
+    if None in rows:
+        raise InputError("row is not in the span of the target lattice")
+    rows = [primitive_vector(c) for c in rows]
+    k, split = target.rank, len(a)
+    joint, index_a, index_b = (_saturation_index(r, k) for r in (rows, rows[:split], rows[split:]))
+    return joint > 0 and joint == index_a * index_b
 
 
 # ---------------------------------------------------------------------------

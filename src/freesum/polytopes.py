@@ -28,6 +28,7 @@ from .linalg import (
     LatticeBasis,
     QVector,
     Vector,
+    _det,
     _echelon,
     clear_denominators,
     hnf,
@@ -194,19 +195,6 @@ def _cofactors(rows: list[list[int]]) -> tuple[int, ...]:
     rows' span, zero when they are dependent."""
     return tuple(
         (-1) ** j * _det([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)
-    )
-
-
-def _det(m: list[list[int]]) -> int:
-    """Determinant of a small square integer matrix, by cofactor expansion."""
-    if len(m) <= 1:
-        return m[0][0] if m else 1
-    if len(m) == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return sum(
-        (-1) ** j * a * _det([row[:j] + row[j + 1 :] for row in m[1:]])
-        for j, a in enumerate(m[0])
-        if a
     )
 
 

@@ -21,9 +21,11 @@ from freesum.errors import InputError, PreconditionError
 from freesum.jsonio import format_point, parse_polytope
 from freesum.linalg import (
     LatticeBasis,
+    canonical_basis,
     clear_denominators,
     in_pos_hull,
     invert_rational,
+    lattice_basis_of_span,
     qvec,
     rational_rank,
 )
@@ -337,6 +339,23 @@ def oracle_lattice_members(basis: LatticeBasis, bound: int):
         )
         out.add(pt)
     return out
+
+
+def hermite_complementary(target: LatticeBasis, a, b) -> bool:
+    """Complementarity by Hermite forms: saturate span(a) and span(b) in
+    coordinates of ``target``, and compare the lattice the two saturated
+    bases generate with the saturation of their joint span, as canonical
+    bases."""
+
+    def saturated(rows) -> list:
+        coords = [target.coordinates(v) for v in rows]
+        return list(lattice_basis_of_span(coords, target.rank).vectors)
+
+    joint = saturated(a) + saturated(b)
+    if rational_rank(joint) != len(joint):
+        return False
+    generated = canonical_basis(joint, target.rank)
+    return generated.vectors == lattice_basis_of_span(joint, target.rank).vectors
 
 
 def oracle_complementary(

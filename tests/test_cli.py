@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -25,6 +27,9 @@ from conftest import (
     poly,
     segment,
 )
+
+
+BENCH_DIR = CORPUS_FILE.parent.parent / "bench"
 
 
 def write_polytope(tmp_path, name, p):
@@ -380,3 +385,21 @@ def test_cli_rejects_boolean_dim(tmp_path):
     assert status == 2
     assert out == ""
     assert json.loads(err)["error"] == "input-error"
+
+
+def test_cli_stdout_matches_recorded_digests(tmp_path, monkeypatch):
+    """Every operation of every benchmark workload at the default seed, run in
+    process, gives the exit code and stdout digest in ``bench/digests.json``,
+    so a change to any output fails here and not only in a benchmark run."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    workloads = importlib.import_module("workloads")
+    recorded = json.loads((BENCH_DIR / "digests.json").read_text())
+    inputs = workloads.Inputs(BENCH_DIR.parent, tmp_path)
+    keys = set()
+    for spec in workloads.SPECS.values():
+        for op in workloads.build(spec, workloads.DEFAULT_SEED, inputs):
+            status, out, _ = run_cli(list(op.args))
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert {"exit": status, "stdout_sha256": digest} == recorded[op.key], op.args
+            keys.add(op.key)
+    assert keys == recorded.keys()

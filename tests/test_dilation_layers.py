@@ -26,6 +26,7 @@ from freesum import (
     check_braun_multivariate,
     classify_sum,
     decompose_sigma,
+    decomposition_check,
     dual_denominator,
     shifted_envelope_lattice_points,
     shifted_envelope_nonempty,
@@ -127,6 +128,8 @@ def test_tagged_walk_rejects_negative_heights():
     for witness in (free, affine):
         with pytest.raises(InputError):
             check_braun_multivariate(witness, -1)
+        with pytest.raises(InputError):
+            decomposition_check(witness.j, witness.k, witness.intersection_point, -1)
 
 
 @st.composite

@@ -6,9 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
+from freesum.cones import lambda_p
 from freesum.errors import InputError
 from freesum.linalg import (
     IntMatrix,
@@ -26,6 +29,7 @@ from freesum.linalg import (
 
 from conftest import (
     F,
+    hermite_complementary,
     in_convex_hull,
     oracle_complementary,
     pos_hull_membership,
@@ -230,46 +234,48 @@ def test_saturation_idempotent():
 
 def test_complementary_coordinate_axes():
     target = standard_lattice(2)
-    a = lattice_basis_of_span([(1, 0)], 2)
-    b = lattice_basis_of_span([(0, 1)], 2)
-    assert complementary_in(target, a, b) is True
+    assert complementary_in(target, [(1, 0)], [(0, 1)]) is True
 
 
 def test_complementary_skew_pair():
     target = standard_lattice(2)
-    a = LatticeBasis(2, ((1, 0),))
-    b = LatticeBasis(2, ((1, 1),))
-    assert complementary_in(target, a, b) is True
+    assert complementary_in(target, [(1, 0)], [(1, 1)]) is True
 
 
 def test_not_complementary_index_two():
     # The span lattices of the non-free-sum segments: (0,1) has no splitting.
     target = standard_lattice(2)
-    a = LatticeBasis(2, ((1, 0),))
-    b = LatticeBasis(2, ((1, 2),))
-    assert complementary_in(target, a, b) is False
+    assert complementary_in(target, [(1, 0)], [(1, 2)]) is False
 
 
 def test_not_complementary_unsaturated():
+    # Only the spans count: (2, 4) cuts out the same lattice as (1, 2), and
+    # (3, 0), (0, 5) the same as the axes.
     target = standard_lattice(2)
-    a = LatticeBasis(2, ((1, 0),))
-    b = LatticeBasis(2, ((2, 4),))
-    assert complementary_in(target, a, b) is False
+    assert complementary_in(target, [(1, 0)], [(2, 4)]) is False
+    assert complementary_in(target, [(3, 0)], [(0, 5)]) is True
+    assert complementary_in(target, [(F(1, 2), 0)], [(0, F(2, 3))]) is True
 
 
 def test_complementary_inside_plane_of_z3():
     target = standard_lattice(3)
-    a = LatticeBasis(3, ((2, 1, 0),))
-    b = LatticeBasis(3, ((1, 1, 0),))
-    assert complementary_in(target, a, b) is True
+    assert complementary_in(target, [(2, 1, 0)], [(1, 1, 0)]) is True
 
 
-def test_complementary_rejects_uncontained():
-    target = LatticeBasis(2, ((2, 0), (0, 2)))
-    half_in = LatticeBasis(2, ((1, 0),))
-    other = LatticeBasis(2, ((0, 2),))
+def test_complementary_depends_on_target():
+    # r*Lambda^p for p = (1/2, 1/2) is the checkerboard lattice: the axes cut
+    # 2Z x 0 and 0 x 2Z out of it, of index 2 in the lattice of the plane,
+    # while the diagonals split it.
+    target = lambda_p((F(1, 2), F(1, 2))).scaled_basis
+    assert complementary_in(target, [(1, 0)], [(0, 1)]) is False
+    assert complementary_in(target, [(1, 1)], [(1, -1)]) is True
+    assert complementary_in(target, [(1, 0)], [(1, 1)]) is True
+
+
+def test_complementary_rejects_rows_off_the_target_span():
+    plane = LatticeBasis(3, ((1, 0, 0), (0, 1, 0)))
     with pytest.raises(InputError):
-        complementary_in(target, half_in, other)
+        complementary_in(plane, [(1, 0, 0)], [(0, 0, 1)])
 
 
 def test_complementary_matches_bruteforce():
@@ -277,16 +283,38 @@ def test_complementary_matches_bruteforce():
     target = standard_lattice(2)
     checked = 0
     while checked < 25:
-        avec = tuple(rng.randint(-2, 2) for _ in range(2))
-        bvec = tuple(rng.randint(-2, 2) for _ in range(2))
-        from freesum.linalg import rational_rank
-
-        if not any(avec) or not any(bvec) or rational_rank([avec, bvec]) < 2:
+        a = [tuple(rng.randint(-2, 2) for _ in range(2))]
+        b = [tuple(rng.randint(-2, 2) for _ in range(2))]
+        if rational_rank(a + b) < 2:
             continue
-        a = LatticeBasis(2, (avec,))
-        b = LatticeBasis(2, (bvec,))
-        assert complementary_in(target, a, b) == oracle_complementary(target, a, b)
+        saturated = (lattice_basis_of_span(rows, 2) for rows in (a, b))
+        assert complementary_in(target, a, b) == oracle_complementary(target, *saturated)
         checked += 1
+
+
+@st.composite
+def direction_rows(draw):
+    """(p, a, b): a point p of Q^n, n in 2..4, with denominator 1..4, and
+    independent integer rows a, b with entries in [-3, 3]."""
+    n = draw(st.integers(2, 4))
+    r = draw(st.integers(1, 4))
+    p = tuple(F(draw(st.integers(-2 * r, 2 * r)), r) for _ in range(n))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=n))
+    assume(rational_rank(rows) == len(rows))
+    split = draw(st.integers(0, len(rows)))
+    return p, rows[:split], rows[split:]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(direction_rows())
+@example(((F(1, 2), F(1, 2)), [(1, 0)], [(0, 1)]))
+@example(((F(1, 3), F(0), F(2, 3)), [(1, 1, 0)], [(0, 1, 1)]))
+def test_complementary_matches_hermite_forms(case):
+    """The saturation-index identity decides as the Hermite-form comparison
+    of the saturated direction lattices in r*Lambda^p."""
+    p, a, b = case
+    target = lambda_p(p).scaled_basis
+    assert complementary_in(target, a, b) == hermite_complementary(target, a, b)
 
 
 def test_pos_hull_membership():
