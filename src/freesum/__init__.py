@@ -1,8 +1,8 @@
 """Exact lattice-point generating functions for free sums of rational polytopes."""
 
 from .cones import (
-    ConeOverPolytope, LambdaP, ShiftSearchResult, cone_over, embed_at_height_one, lambda_p,
-    llenv_points, shifted_envelope_lattice_points, shifted_envelope_nonempty,
+    ConeOverPolytope, LambdaP, ShiftSearchResult, cone_over, lambda_p, llenv_points,
+    shifted_envelope_lattice_points, shifted_envelope_nonempty,
 )
 from .errors import (
     ClassificationError, FreesumError, InconclusiveError, InputError, InternalCheckError,
@@ -31,8 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     # cones
-    "ConeOverPolytope", "LambdaP", "ShiftSearchResult", "cone_over", "embed_at_height_one",
-    "lambda_p", "llenv_points", "shifted_envelope_lattice_points", "shifted_envelope_nonempty",
+    "ConeOverPolytope", "LambdaP", "ShiftSearchResult", "cone_over", "lambda_p", "llenv_points",
+    "shifted_envelope_lattice_points", "shifted_envelope_nonempty",
     # errors
     "ClassificationError", "FreesumError", "InconclusiveError", "InputError", "InternalCheckError",
     "PreconditionError", "TruncationError",

@@ -1,12 +1,15 @@
-"""Cones over polytopes in R^(n+1): projections, lower envelopes, shifts.
+"""Cones over polytopes in R^(n+1): projections, lower envelopes, shifts,
+and the refined lattice r*Lambda^p of a rational point p, r = den(p).
 
 The cone over P is the set of nonnegative multiples of P embedded at height
 one.  Directional projections travel along ``alpha(p) = (p, 1)``; the
-vertical case is ``p = 0``.  For P containing the origin, a point y of H*P
-lies in cone(P) at each height from ceil(lambda(y)), lambda the least
-dilation, so the shifted lower envelopes, ``llenv_points`` and
-``decompose_sigma`` read one walk of H*P tagged with den * lambda
-(``tagged_lattice_points``); ``shifted_envelope_lattice_points`` lists a layer.
+vertical case is ``p = 0``.  For p in P, the lattice points (x, s) of
+cone(P) with offset v = r*(x - s*p), a point of r*Lambda^p, are those at
+the heights s >= lambda'(v) in v's class mod r, lambda' the least dilation
+in r*(P - p).  One walk of H*r(P - p) tagged with den * lambda'
+(``tagged_lattice_points``) gives the class table (``_class_table``) that
+``llenv_points`` and the split and Braun checks of ``freesums`` read;
+``shifted_envelope_lattice_points`` lists one layer of the walk at p = 0.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .linalg import (
     QVector,
     Vector,
     canonical_basis,
-    clear_denominators,
     qvec,
 )
 from .polytopes import (
@@ -36,11 +38,6 @@ from .polytopes import (
     tagged_lattice_points,
 )
 from .records import frozen
-
-
-def embed_at_height_one(point) -> QVector:
-    """The affine embedding a -> (a, 1) into R^(n+1)."""
-    return qvec(point) + (Fraction(1),)
 
 
 @frozen
@@ -91,43 +88,33 @@ def cone_over(p: RationalPolytope) -> ConeOverPolytope:
 
 
 def llenv_points(cone: ConeOverPolytope, p, height_bound: int) -> list[tuple[QVector, bool]]:
-    """Projections of the cone's lattice points with height <= bound.
+    """Projections along alpha(p) of the cone's lattice points with height
+    <= bound, p in the base J, read off J's class table at p, in lex order.
 
-    Each envelope point is flagged True when it is itself a lattice point;
-    the list is deduplicated and lexicographically sorted.
+    A lattice point (x, s) drops to the envelope at the least dilation
+    lambda'(v) of its offset v = r*(x - s*p) in r*(J - p), so its projection
+    is (lambda'(v)*p + v/r, lambda'(v)), one for each v whose least height
+    is at most the bound.  It is flagged True when it is a lattice point,
+    that is when lambda'(v) is that least height.
     """
     if height_bound < 0:
         raise InputError("height bound must be nonnegative")
-    ap = embed_at_height_one(p)
-    if len(ap) != cone.ambient_dim:
+    p = qvec(p)
+    if len(p) + 1 != cone.ambient_dim:
         raise InputError("direction dimension mismatch")
-    if not cone.contains(ap):
+    if not cone.contains(p + (Fraction(1),)):
         raise PreconditionError("direction point must lie in the cone", "direction-not-in-cone")
-    # Each facet h with h.a < 0, a = (p, 1) cleared to integers, caps the
-    # multiple of a that a point x can drop by at (-h.x)/(-h.a).
-    ap_int = clear_denominators(ap)
-    dots = ((h, sum(a * b for a, b in zip(h, ap_int))) for h in cone.hrep.facet_rows)
-    rows = [(h[:-1], h[-1], -d) for h, d in dots if d < 0]
-    if not rows:
-        raise PreconditionError(
-            "projection direction is not bounded by the cone", "direction-unbounded"
-        )
-    # x - (num/cap) a for the least cap num/cap, kept as cap*x - num*a over its gcd.
-    seen = set()
-    for y, ts in cone.lattice_points_by_height(height_bound):
-        values = [(-sum(a * b for a, b in zip(c, y)), -c0, d) for c, c0, d in rows]
-        for t in ts:
-            num, cap = values[0][0] + values[0][1] * t, values[0][2]
-            for v, c0, d in values[1:]:
-                if (v + c0 * t) * cap < num * d:
-                    num, cap = v + c0 * t, d
-            vec = tuple(cap * a - num * b for a, b in zip(y + (t,), ap_int))
-            g = math.gcd(cap, *vec)
-            seen.add((cap // g, tuple(a // g for a in vec)))
-    # vec/cap in lex order is vec scaled to the lcm of the caps in lex order.
-    scale = math.lcm(*(q for q, _ in seen))
-    ordered = sorted(seen, key=lambda e: tuple(a * (scale // e[0]) for a in e[1]))
-    return [(tuple(Fraction(a, q) for a in vec), q == 1) for q, vec in ordered]
+    r = math.lcm(*(x.denominator for x in p))
+    rp = tuple(int(r * x) for x in p)
+    den, table = _class_table(cone.base, p, r, height_bound)
+    # The projection of v is (m*r*p + den*v, m*r) over den*r, m = den * lambda'(v).
+    out = sorted(
+        (tuple(m * a + den * b for a, b in zip(rp, v)) + (m * r,), m == least * den)
+        for v, m, least in table
+        if least <= height_bound
+    )
+    scale = den * r
+    return [(tuple(Fraction(a, scale) for a in vec), flag) for vec, flag in out]
 
 
 def shifted_envelope_lattice_points(
@@ -165,13 +152,6 @@ class LambdaP:
     r: int
     scaled_basis: LatticeBasis
 
-    def contains(self, v) -> bool:
-        v = qvec(v)
-        w = tuple(self.r * x for x in v)
-        if any(x.denominator != 1 for x in w):
-            return False
-        return self.scaled_basis.contains(tuple(int(x) for x in w))
-
 
 def lambda_p(p) -> LambdaP:
     """Lattice generated by the standard basis vectors together with p."""
@@ -181,6 +161,33 @@ def lambda_p(p) -> LambdaP:
     rows = [tuple(r if i == j else 0 for j in range(n)) for i in range(n)]
     rows.append(tuple(int(r * x) for x in p))
     return LambdaP(p, r, canonical_basis(rows, n))
+
+
+def _classes(p: QVector, r: int) -> dict[Vector, int]:
+    """Each residue c*r*p mod r of r*Lambda^p mapped to its class -c mod r."""
+    rp = tuple(int(r * x) for x in p)
+    return {tuple(c * x % r for x in rp): -c % r for c in range(r)}
+
+
+def _class_table(q: RationalPolytope, p: QVector, r: int, height_bound: int) -> tuple[int, list]:
+    """(den, [(v, m, least)]): the integer points v of H*r(Q - p) that lie in
+    r*Lambda^p, in lex order, with m = den * lambda'(v) from
+    ``tagged_lattice_points`` and least the least s >= lambda'(v) in v's
+    class sigma(v) = -c mod r, where v = c*r*p (mod r).  At r = 1 every
+    point is kept and least = ceil(lambda'); at p = 0 Q itself is tagged."""
+    if any(p):
+        q = q.translate(tuple(-x for x in p)).dilate(r)
+    den, tagged = tagged_lattice_points(q, height_bound)
+    if r == 1:
+        return den, [(v, m, -(-m // den)) for v, m in tagged]
+    classes, mod = _classes(p, r), r.__rmod__
+    table = []
+    for v, m in tagged:
+        sigma = classes.get(tuple(map(mod, v)))
+        if sigma is not None:
+            least = -(-m // den)
+            table.append((v, m, least + (sigma - least) % r))
+    return den, table
 
 
 @frozen

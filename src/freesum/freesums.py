@@ -12,21 +12,23 @@ pairs of tagged lattice points: for an affine free sum through p, the points
 v of H*r(J - p) in r*Lambda^p, each in the class sigma(v) mod r of the
 heights s at which v/r + s*p is integral, and those of H*r(K - p) (for a
 free sum, p = 0 and r = 1, the points of H*J and H*K).
-``check_braun_multivariate`` reads the residual off it for both kinds, and
-the split check is ``decompose_sigma``'s comparison of the r = 1 table with
-direct enumeration; ``decomposition_check`` is the per-point form, which
-also covers affine free sums.
+These are the class tables of ``cones``, which owns r*Lambda^p.
+``check_braun_multivariate`` reads the residual off the pairs for both
+kinds.  The split check (``_split_check``) compares each pair's low with the
+least height of its offset in the hull's own class table at p:
+``decomposition_check`` reports it at any p, and ``decompose_sigma``, its
+p = 0 form, raises on a mismatch.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from fractions import Fraction
 
 from .cones import (
+    _class_table,
     cone_over,
     lambda_p,
     llenv_points,
@@ -41,7 +43,6 @@ from .linalg import (
     QVector,
     Vector,
     complementary_in,
-    invert_rational,
     qvec,
     rational_rank,
     solve_linear,
@@ -49,14 +50,11 @@ from .linalg import (
 from .polytopes import (
     RationalPolytope,
     _cone_member,
-    _least_dilation,
-    cone_hrep,
     denominator,
     direction_basis,
     gorenstein_data,
     is_lattice_polyhedron,
     polar_dual,
-    tagged_lattice_points,
 )
 from .records import frozen
 from .series import (
@@ -191,31 +189,6 @@ def envelope_condition_check(j: RationalPolytope, p, height_bound: int) -> Envel
     return EnvelopeCondition(witness is None, witness)
 
 
-def _classes(p: QVector, r: int) -> dict[Vector, int]:
-    """Each residue c*r*p mod r of r*Lambda^p mapped to its class -c mod r."""
-    rp = tuple(int(r * x) for x in p)
-    return {tuple(c * x % r for x in rp): -c % r for c in range(r)}
-
-
-def _class_table(q: RationalPolytope, p: QVector, r: int, height_bound: int) -> tuple[int, list]:
-    """(den, [(v, m, least)]): the integer points v of H*r(Q - p) that lie in
-    r*Lambda^p, in lex order, with m = den * lambda'(v) from
-    ``tagged_lattice_points`` and least the least s >= lambda'(v) in v's
-    class sigma(v) = -c mod r, where v = c*r*p (mod r).  At p = 0 (r = 1)
-    Q itself is tagged, every point is kept and least = ceil(lambda')."""
-    classes = _classes(p, r)
-    if any(p):
-        q = q.translate(tuple(-x for x in p)).dilate(r)
-    den, tagged = tagged_lattice_points(q, height_bound)
-    table = []
-    for v, m in tagged:
-        sigma = classes.get(tuple(x % r for x in v))
-        if sigma is not None:
-            least = -(-m // den)
-            table.append((v, m, least + (sigma - least) % r))
-    return den, table
-
-
 def _settled(table: tuple[int, list]) -> bool:
     """Whether each point's least height in its class is its least dilation."""
     den, points = table
@@ -264,9 +237,8 @@ def check_braun_multivariate(witness: FreeSumWitness, height_bound: int) -> Brau
       + t_min(w), each the least value in its class at or above its lambda'.
     - conv(J u K) - p is the free sum of J - p and K - p, whose least
       dilations add, so the hull cone holds (z, T) iff lambda'_J +
-      lambda'_K <= T, that is iff low <= T (the argument of
-      ``decompose_sigma``, which checks it against direct enumeration at
-      p = 0).
+      lambda'_K <= T, that is iff low <= T (the split check,
+      ``_split_check``, checks it against the hull's own class table).
     - sigma_J * sigma_K has coefficient #{(s, t): s >= s_min(v), t >=
       t_min(w), s + t = T, both in their classes} there; times (1 -
       z^(r*alpha(p))), which moves T by r and keeps (v, w), that is [high <=
@@ -377,7 +349,7 @@ def decompose_sigma(
     The check is the split check.  Classification makes span(P) and span(K)
     independent, so a hull point (z, T) has at most one real split z = y + w,
     and (y, w) is counted there iff it is integral and lambda(y) +
-    lambda_K(w) <= T: ``decomposition_check``'s pass condition at p = 0.
+    lambda_K(w) <= T: the pass condition of ``_split_check`` at p = 0.
     Each counted pair lies in cone(P) + cone(K), inside the hull cone.  So the
     maps are equal, with no z reached twice, iff no hull point lacks its
     split or has two; a mismatch raises, since equality holds for every free
@@ -389,25 +361,13 @@ def decompose_sigma(
             "the shifted-envelope decomposition applies to free sums at the origin",
             "not-a-free-sum-at-origin",
         )
-    zero = (0,) * p.dim
-    tables = (_class_table(q, zero, 1, height_bound) for q in (p, k))
-    pairs = [
-        (tuple(map(operator.add, y, w)), low) for y, w, low, _ in _pairs(*tables, 1, height_bound)
-    ]
-    heights = dict(pairs)
-    hull_den, hull_points = tagged_lattice_points(hull_union(p, k), height_bound)
-    direct = {z: -(-m // hull_den) for z, m in hull_points}
-    if len(pairs) > len(heights) or heights != direct:
-        lows: dict[Vector, list[int]] = {}
-        for z, low in pairs:
-            lows.setdefault(z, []).append(low)
-        for z, t in itertools.product(sorted(lows.keys() | direct.keys()), range(height_bound + 1)):
-            splits, expected = sum(h <= t for h in lows.get(z, ())), int(direct.get(z, t + 1) <= t)
-            if splits != expected:
-                raise InternalCheckError(
-                    f"shifted-envelope decomposition disagrees with enumeration at {z + (t,)}: "
-                    f"{splits} splits, direct coefficient {expected}"
-                )
+    heights, _, faults = _split_check(p, k, (0,) * p.dim, 1, height_bound)
+    if faults:
+        point, splits, coefficient = faults[0]
+        raise InternalCheckError(
+            f"shifted-envelope decomposition disagrees with enumeration at {point}: "
+            f"{splits} splits, direct coefficient {coefficient}"
+        )
     return heights
 
 
@@ -466,25 +426,59 @@ def gorenstein_affine_check(
     return check_braun_multivariate(witness, height_bound)
 
 
+def _split_check(j: RationalPolytope, k: RationalPolytope, p, r: int, height_bound: int):
+    """(lows, checked, faults) of the split check through p, r = den(p), for
+    J and K whose spans from p are independent.  lows maps the offset v = y +
+    w of each pair (``_pairs``) of the class tables of J and K at p to its
+    low.  The hull cone's lattice points up to H, checked in all, are read
+    off the hull's own class table: z = t*p + v/r at t = least, least + r,
+    ... <= H.  faults lists in lex order each (z + (t,), splits, coefficient)
+    where the number of pairs of offset v with low <= t is not the hull
+    cone's coefficient, 0 or 1; with none, lows is the hull's v -> least.
+    """
+    tables = [_class_table(q, p, r, height_bound) for q in (j, k, hull_union(j, k))]
+    found = _pairs(*tables[:2], r, height_bound)
+    pairs = [(tuple(map(operator.add, y, w)), low) for y, w, low, _ in found]
+    lows = dict(pairs)
+    direct = {v: least for v, _, least in tables[2][1] if least <= height_bound}
+    checked = sum((height_bound - least) // r + 1 for least in direct.values())
+    faults = []
+    if len(pairs) > len(lows) or lows != direct:
+        splits_of: dict[Vector, list[int]] = {}
+        for v, low in pairs:
+            splits_of.setdefault(v, []).append(low)
+        rp = tuple(int(r * x) for x in p)
+        for v in splits_of.keys() | direct.keys():
+            least, v_lows = direct.get(v), splits_of.get(v, ())
+            # The heights of offset v form one class mod r.
+            for t in range((v_lows[0] if least is None else least) % r, height_bound + 1, r):
+                splits = sum(low <= t for low in v_lows)
+                coefficient = int(least is not None and least <= t)
+                if splits != coefficient:
+                    point = tuple((t * c + a) // r for c, a in zip(rp, v)) + (t,)
+                    faults.append((point, splits, coefficient))
+        faults.sort()
+    return lows, checked, faults
+
+
 def decomposition_check(
     j: RationalPolytope, k: RationalPolytope, p, height_bound: int
 ) -> DecompositionReport:
     """Existence and uniqueness of the split z = x + y over the hull cone.
 
-    For every lattice point z = (z', t) of cone(conv(J u K)) up to the height
-    bound, the offset v = r*(z' - t*p) in r*Lambda^p, r = den(p), is split
-    along the direction rows of J and K as v = a_J + a_K.  z passes when a_J,
-    and so a_K, lies in r*Lambda^p and the least dilations of a_J and a_K in
-    r*(J - p) and r*(K - p) add up to at most t: then x = (a_J/r + mu*p, mu),
-    mu the least dilation of a_J/r, is the one candidate on the projected
-    lattice envelope of cone(J) with z - x in cone(K).  Exactly-one is
-    structural once the direction spans meet trivially; the splits lie in
-    r*Lambda^p for every z iff the saturation indices of the direction rows
-    there have I(J u K) = I(J) * I(K) (``complementary_in``).  Requires p in
-    both summands and a nonnegative height bound.
+    A lattice point (z, t) of cone(conv(J u K)) up to the height bound has
+    the offset v = r*(z - t*p) in r*Lambda^p, r = den(p), split as v = y + w
+    along the independent spans of J - p and K - p.  It passes when y, and
+    so w, lies in r*Lambda^p and t is at least the low of the pair (y, w) of
+    the class tables at p: then x = (y/r + mu*p, mu), mu = lambda'_J(y), is
+    the one candidate on the projected lattice envelope of cone(J) with z - x
+    in cone(K).  Every v has its pair iff the direction rows have saturation
+    indices I(J u K) = I(J) * I(K) in r*Lambda^p (``complementary_in``).
+    The violations are the points (z, t), in lex order, each with its number
+    of splits, 0 at a hull point that fails.  Requires p in both summands and
+    a nonnegative height bound.
     """
     p = qvec(p)
-    n = j.dim
     if height_bound < 0:
         raise InputError("height bound must be nonnegative")
     if not j.contains(p):
@@ -493,42 +487,9 @@ def decomposition_check(
         raise PreconditionError(
             "projection point must lie in the second summand", "point-not-in-summand"
         )
-    dirs_j = direction_basis(j)
-    basis = dirs_j + direction_basis(k)
+    basis = direction_basis(j) + direction_basis(k)
     if rational_rank(basis) != len(basis):
         raise PreconditionError("direction spaces intersect nontrivially", "spans-intersect-in-flat")
     r = math.lcm(*(x.denominator for x in p))
-    rp = tuple(int(r * x) for x in p)
-    classes = _classes(p, r)
-    # The left inverse (B^T B)^-1 B^T of the basis columns B; its first rows,
-    # the J coordinates, times the J rows are the map v -> a_J, cleared to
-    # integers by its common denominator den.
-    gram_inv = invert_rational([[sum(a * b for a, b in zip(u, w)) for w in basis] for u in basis])
-    left = [[sum(g * w[c] for g, w in zip(row, basis)) for c in range(n)] for row in gram_inv]
-    split = [[sum(w[i] * x[c] for w, x in zip(dirs_j, left)) for c in range(n)] for i in range(n)]
-    den = math.lcm(*(x.denominator for row in split for x in row))
-    split = [[int(den * x) for x in row] for row in split]
-    # Least dilations in J - p are r times those in r*(J - p).
-    hrep_j = cone_hrep(j.translate(tuple(-x for x in p)))
-    hrep_k = cone_hrep(k.translate(tuple(-x for x in p)))
-    cone_h = cone_over(hull_union(j, k))
-
-    violations = []
-    checked = 0
-    for t in range(height_bound + 1):
-        for z in cone_h.lattice_points_at_height(t):
-            checked += 1
-            # With p in J and K, z'/t lies in p + span(J - p) + span(K - p)
-            # for t > 0 (and z = 0 at t = 0), so v always lies in the span of
-            # the two blocks and only the J part is needed, scaled by den.
-            v = [r * a - t * b for a, b in zip(z, rp)]
-            a_j = [sum(a * b for a, b in zip(row, v)) for row in split]
-            if any(x % den for x in a_j) or tuple(x // den % r for x in a_j) not in classes:
-                violations.append((z, 0))
-                continue
-            a_j = [x // den for x in a_j]
-            lam_j = _least_dilation(hrep_j, a_j)
-            lam_k = _least_dilation(hrep_k, [a - b for a, b in zip(v, a_j)])
-            if lam_j is None or lam_k is None or lam_j + lam_k > r * t:
-                violations.append((z, 0))
-    return DecompositionReport(checked, tuple(violations))
+    _, checked, faults = _split_check(j, k, p, r, height_bound)
+    return DecompositionReport(checked, tuple((point, splits) for point, splits, _ in faults))

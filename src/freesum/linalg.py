@@ -354,11 +354,6 @@ class LatticeBasis:
         cols = [list(col) for col in zip(*self.vectors)]
         return solve_linear(cols, point)
 
-    def contains(self, point) -> bool:
-        """Whether ``point`` lies in the lattice spanned by this basis."""
-        coords = self.coordinates(point)
-        return coords is not None and all(c.denominator == 1 for c in coords)
-
 
 def canonical_basis(rows, ambient_dim: int) -> LatticeBasis:
     """HNF-canonical LatticeBasis for the lattice generated by integer rows."""

@@ -533,23 +533,6 @@ def gorenstein_data(p: RationalPolytope, index_bound: int = 64) -> GorensteinDat
     raise InconclusiveError(f"no interior lattice point in dilates up to {index_bound}")
 
 
-def _least_dilation(hrep: ConeHRep, point) -> Fraction | None:
-    """Least lambda >= 0 with the point in lambda*P, None off pos(P), when the
-    origin is in P: then the span rows of ``hrep`` cut out lin(P) x R and each
-    facet row (c, -c0) has c0 >= 0, so the point y needs c.y <= lambda*c0.
-    The running maximum is kept as the ratio num/den of plain numbers."""
-    if any(sum(a * b for a, b in zip(row, point)) for row in hrep.span_rows):
-        return None
-    num, den = 0, 1
-    for row in hrep.facet_rows:
-        value = sum(a * b for a, b in zip(row, point))
-        if value * den > num * -row[-1]:
-            if not row[-1]:
-                return None
-            num, den = value, -row[-1]
-    return Fraction(num, den)
-
-
 @functools.lru_cache(maxsize=512)
 def tagged_lattice_points(p: RationalPolytope, height: int) -> tuple[int, tuple]:
     """(den, pairs): the integer points y of height*P in lex order, each with

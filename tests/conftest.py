@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-import freesum.freesums
+import freesum.cones
 from freesum import RationalPolytope, TruncatedSeries, UnivariateSeries, cone_over
 from freesum.corpus import CorpusPair
 from freesum.errors import InputError, PreconditionError
@@ -156,6 +156,23 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _least_dilation(hrep, point) -> Fraction | None:
+    """Least lambda >= 0 with the point in lambda*P, None off pos(P), read off
+    the rows of ``hrep = cone_hrep(P)`` when the origin is in P: then the
+    span rows cut out lin(P) x R and each facet row (c, -c0) has c0 >= 0, so
+    the point y needs c.y <= lambda*c0.  The oracle of the walk's tags."""
+    if any(_dot(row, point) for row in hrep.span_rows):
+        return None
+    lam = Fraction(0)
+    for row in hrep.facet_rows:
+        value = _dot(row, point)
+        if value > lam * -row[-1]:
+            if not row[-1]:
+                return None
+            lam = Fraction(value, -row[-1])
+    return lam
+
+
 def epsilon_project(cone, x, p) -> tuple:
     """Project x to the p-lower envelope of the cone: subtract the largest
     multiple of alpha(p) = (p, 1) that stays in the cone.  Each facet row h
@@ -213,13 +230,13 @@ def break_split(monkeypatch, fault):
     broken hull point and its split count."""
     change, point, splits = SPLIT_FAULTS[fault]
     j, k = axis_seg(2, 0, -1, 1), axis_seg(2, 1, -1, 1)
-    real = freesum.freesums.tagged_lattice_points
+    real = freesum.cones.tagged_lattice_points
 
     def faulty(p, bound):
         den, points = real(p, bound)
         return (den, change(points)) if p == k else (den, points)
 
-    monkeypatch.setattr(freesum.freesums, "tagged_lattice_points", faulty)
+    monkeypatch.setattr(freesum.cones, "tagged_lattice_points", faulty)
     return j, k, point, splits
 
 
@@ -326,6 +343,13 @@ def oracle_count_dilate(p: RationalPolytope, k: int) -> int:
     return len(oracle_lattice_points(p, k))
 
 
+def lattice_contains(basis: LatticeBasis, point) -> bool:
+    """Whether the integer point lies in the lattice the basis spans: its
+    rational coordinates in the basis exist and are integers."""
+    coords = basis.coordinates(point)
+    return coords is not None and all(c.denominator == 1 for c in coords)
+
+
 def oracle_lattice_members(basis: LatticeBasis, bound: int):
     """All basis-lattice points with coefficients in [-bound, bound]."""
     if basis.rank == 0:
@@ -368,7 +392,7 @@ def oracle_complementary(
     pts_b = oracle_lattice_members(b, coeff)
     n = target.ambient_dim
     for raw in itertools.product(range(-box, box + 1), repeat=n):
-        if not target.contains(raw):
+        if not lattice_contains(target, raw):
             continue
         coords = qvec(raw)
         # Restrict to points of the joint span.

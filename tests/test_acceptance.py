@@ -20,7 +20,6 @@ from freesum import (
     decomposition_check,
     delta_polynomial,
     dual_denominator,
-    embed_at_height_one,
     envelope_condition_check,
     halfspace_rep,
     hull_union,
@@ -302,7 +301,7 @@ def _strata_and_sigma(p: RationalPolytope, bound: int):
 
 def _check_idempotence(p: RationalPolytope, rng: random.Random) -> None:
     cone = cone_over(p)
-    generators = [embed_at_height_one(v) for v in p.vertices]
+    generators = [v + (F(1),) for v in p.vertices]
     direction = (F(0),) * p.dim
     samples = [pt for t in range(3) for pt in cone.lattice_points_at_height(t)]
     for _ in range(5):

@@ -30,7 +30,7 @@ def test_all_lists_exactly_the_public_non_module_names():
 # Exported names that no other module of the package uses, and why each stays.
 UNUSED_EXPORTS = (
     "check_braun_univariate",  # Braun's Ehrhart-series formula, which the paper recovers
-    "decomposition_check",  # per-point split check, the library form; the benchmark traces it
+    "decomposition_check",  # the split check at any p, point by point; the benchmark traces it
     "in_pos_hull",  # the tests' Caratheodory oracle; the benchmark traces it
     "shifted_envelope_lattice_points",  # one envelope layer; the benchmark traces it
     "shifted_envelope_nonempty",  # per-facet congruences, for exact affine envelope verdicts

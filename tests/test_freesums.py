@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-import freesum.freesums
+import freesum.cones
 from freesum import (
     AFFINE_FREE_SUM,
     FREE_SUM,
@@ -18,7 +18,6 @@ from freesum import (
     converse_search,
     decompose_sigma,
     decomposition_check,
-    embed_at_height_one,
     envelope_condition_check,
     gorenstein_affine_check,
     hull_union,
@@ -28,6 +27,7 @@ from freesum import (
 )
 from freesum.errors import ClassificationError, InternalCheckError, PreconditionError
 from freesum.linalg import qvec, rational_nullspace, rational_rank
+from freesum.polytopes import tagged_lattice_points
 from freesum.series import series_mul
 
 from conftest import (
@@ -41,6 +41,7 @@ from conftest import (
     epsilon_project,
     first_difference,
     height_map_series,
+    oracle_lattice_points,
     poly,
     pos_hull_membership,
     segment,
@@ -116,7 +117,7 @@ def test_classify_matches_cone_span_criterion():
     n1 = j.dim + 1
 
     def cone_lattice_span(p):
-        return lattice_basis_of_span([embed_at_height_one(v) for v in p.vertices], n1)
+        return lattice_basis_of_span([v + (F(1),) for v in p.vertices], n1)
 
     span_j, span_k, span_hull = (cone_lattice_span(p) for p in (j, k, hull))
     span_sum = lattice_basis_of_span(
@@ -314,7 +315,7 @@ def test_braun_settles_integral_side_without_enumerating_the_other(monkeypatch):
     at lattice distance 2).  The verdict still equals the series oracle."""
     j = poly(3, (-1, -1, 0), (3, -1, 0), (-1, 3, 0))
     k = axis_seg(3, 2, -1, 1)
-    real = freesum.freesums.tagged_lattice_points
+    real = freesum.cones.tagged_lattice_points
     den, points = real(j, 1)
     assert any(m % den for _, m in points)
     tagged = []
@@ -323,7 +324,7 @@ def test_braun_settles_integral_side_without_enumerating_the_other(monkeypatch):
         tagged.append((p, bound))
         return real(p, bound)
 
-    monkeypatch.setattr(freesum.freesums, "tagged_lattice_points", recording)
+    monkeypatch.setattr(freesum.cones, "tagged_lattice_points", recording)
     witness = classify_sum(j, k)
     assert witness.kind == FREE_SUM
     for bound in range(5):
@@ -347,14 +348,14 @@ def test_braun_settles_integral_side_of_an_affine_sum(monkeypatch):
     witness = classify_sum(j, k)
     assert witness.kind == AFFINE_FREE_SUM and witness.r == 3
     recentred_k = k.translate((F(-1, 3), F(-1, 3), 0)).dilate(3)
-    real = freesum.freesums.tagged_lattice_points
+    real = freesum.cones.tagged_lattice_points
     tagged = []
 
     def recording(p, bound):
         tagged.append((p, bound))
         return real(p, bound)
 
-    monkeypatch.setattr(freesum.freesums, "tagged_lattice_points", recording)
+    monkeypatch.setattr(freesum.cones, "tagged_lattice_points", recording)
     for bound in range(9):
         tagged.clear()
         verdict = check_braun_multivariate.__wrapped__(witness, bound)
@@ -572,6 +573,50 @@ def test_decomposition_check_forced_counterexample():
     assert cone_hull.contains((1, 1, 1))
 
 
+def third_skew_summands():
+    """J = [p, p + e1] and K = [p, p + (1/2, 3)] through p = (1/3, 0), r = 3:
+    r*Lambda^p is Z x 3Z, in which (1, 0) and (1, 6) generate a sublattice of
+    index 2, so the pair is not complementary."""
+    return poly(2, (F(1, 3), 0), (F(4, 3), 0)), poly(2, (F(1, 3), 0), (F(5, 6), 3))
+
+
+def test_decomposition_check_violations_step_by_r():
+    """The hull points of one offset v = 3z - t*(1, 0) lie at the heights t =
+    least, least + 3, ... of its class, so an offset with no split fails at
+    each of them: v = (2, 3) at heights 1 and 4, and no point is reported at
+    a height off its class."""
+    j, k = third_skew_summands()
+    report = decomposition_check(j, k, (F(1, 3), F(0)), 4)
+    hull = hull_union(j, k)
+    assert report.points_checked == sum(len(oracle_lattice_points(hull, t)) for t in range(5))
+    assert report.points_checked == 56 and len(report.violations) == 22
+    heights = {}
+    for (x, y, t), splits in report.violations:
+        assert splits == 0 and cone_over(hull).contains((x, y, t))
+        heights.setdefault((3 * x - t, 3 * y), []).append(t)
+    assert heights.pop((2, 3)) == [1, 4]
+    assert all(len(ts) == 1 for ts in heights.values())
+
+
+@pytest.mark.parametrize(
+    "pair", [pair for pair in corpus_pairs() if "affine" in pair.modes], ids=lambda pair: pair.name
+)
+def test_envelope_check_reuses_the_braun_walk(pair):
+    """The envelope check of J at p reads J's class table, the one the Braun
+    check builds whenever K's table does not settle the verdict (on the
+    corpus at height 7, every affine pair): after such a Braun check the
+    envelope check tags nothing new."""
+    tagged_lattice_points.cache_clear()
+    check_braun_multivariate.cache_clear()
+    witness = classify_sum(pair.a, pair.b)
+    before = tagged_lattice_points.cache_info().misses
+    check_braun_multivariate(witness, 7)
+    after = tagged_lattice_points.cache_info().misses
+    envelope_condition_check(pair.a, witness.intersection_point, 7)
+    if after - before == 2:  # K, then J
+        assert tagged_lattice_points.cache_info().misses == after
+
+
 @pytest.mark.parametrize("fault", sorted(SPLIT_FAULTS))
 def test_decompose_sigma_names_broken_split(monkeypatch, fault):
     j, k, point, splits = break_split(monkeypatch, fault)
@@ -628,6 +673,7 @@ def split_cases(draw):
 @example((axis_seg(2, 0, 0, F(2, 3)), axis_seg(2, 1, -1, 1), (F(0), F(0))), 5)
 @example((poly(2, (0, 0), (1, 0)), poly(2, (F(1, 3), -1), (F(1, 3), 1)), (F(1, 3), F(0))), 5)
 @example((poly(2, (-1, 0), (1, 0)), poly(2, (-1, -2), (1, 2)), (F(0), F(0))), 3)
+@example((*third_skew_summands(), (F(1, 3), F(0))), 4)
 @example(
     (
         poly(3, (-1, -1, 0), (F(3, 2), 0, 0), (0, F(4, 3), 0)),
@@ -653,7 +699,7 @@ def test_decomposition_check_matches_bruteforce(case, bound):
     for t in range(bound + r):
         for pt in cone_j.lattice_points_at_height(t):
             candidates.add(epsilon_project(cone_j, pt, p))
-    gens_k = [embed_at_height_one(v) for v in k.vertices]
+    gens_k = [v + (F(1),) for v in k.vertices]
     in_cone_k = pos_hull_membership(gens_k)
     # z - x lies in cone(K) only if it lies in span(cone(K)), that is if
     # N z = N x for rows N that cut the span out: bucket the candidates by N x.

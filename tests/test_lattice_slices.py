@@ -24,14 +24,20 @@ from hypothesis import strategies as st
 
 from freesum import RationalPolytope, cone_over, sigma_cone
 from freesum.polytopes import (
-    _least_dilation,
     _slice_frame,
     cone_hrep,
     lattice_points_in_scaled,
     tagged_lattice_points,
 )
 
-from conftest import F, oracle_lattice_points, poly, pos_hull_membership, sigma_cone_by_heights
+from conftest import (
+    F,
+    _least_dilation,
+    oracle_lattice_points,
+    poly,
+    pos_hull_membership,
+    sigma_cone_by_heights,
+)
 
 BOX_CAP = 400
 
