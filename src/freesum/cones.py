@@ -6,16 +6,18 @@ one.  Directional projections travel along ``alpha(p) = (p, 1)``; the
 vertical case is ``p = 0``.  For p in P, the lattice points (x, s) of
 cone(P) with offset v = r*(x - s*p), a point of r*Lambda^p, are those at
 the heights s >= lambda'(v) in v's class mod r, lambda' the least dilation
-in r*(P - p).  One walk of H*r(P - p) tagged with den * lambda'
-(``tagged_lattice_points``) gives the class table (``_class_table``) that
-``llenv_points`` and the split and Braun checks of ``freesums`` read;
-``shifted_envelope_lattice_points`` lists one layer of the walk at p = 0.
+in r*(P - p).  One walk of the points of r*Lambda^p in H*r(P - p), in a
+basis of that lattice, tagged with den * lambda' (``tagged_lattice_points``),
+gives the class table (``_class_table``) that ``llenv_points`` and the split
+and Braun checks of ``freesums`` read; ``shifted_envelope_lattice_points``
+lists one layer of the walk at p = 0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import InputError, PreconditionError
@@ -24,6 +26,7 @@ from .linalg import (
     QVector,
     Vector,
     canonical_basis,
+    invert_rational,
     qvec,
 )
 from .polytopes import (
@@ -170,24 +173,30 @@ def _classes(p: QVector, r: int) -> dict[Vector, int]:
 
 
 def _class_table(q: RationalPolytope, p: QVector, r: int, height_bound: int) -> tuple[int, list]:
-    """(den, [(v, m, least)]): the integer points v of H*r(Q - p) that lie in
-    r*Lambda^p, in lex order, with m = den * lambda'(v) from
-    ``tagged_lattice_points`` and least the least s >= lambda'(v) in v's
-    class sigma(v) = -c mod r, where v = c*r*p (mod r).  At r = 1 every
-    point is kept and least = ceil(lambda'); at p = 0 Q itself is tagged."""
-    if any(p):
-        q = q.translate(tuple(-x for x in p)).dilate(r)
-    den, tagged = tagged_lattice_points(q, height_bound)
+    """(den, [(v, m, least)]): the points v of r*Lambda^p in H*r(Q - p), in
+    lex order, with m = den * lambda'(v) from ``tagged_lattice_points`` and
+    least the least s >= lambda'(v) in v's class sigma(v) = -c mod r, where
+    v = c*r*p (mod r).  At r = 1 every integer point is kept, least =
+    ceil(lambda').  For r > 1 the walk runs in coordinates u of the basis
+    rows b of r*Lambda^p, v = u.b, in which lambda' is unchanged and sigma(v)
+    = u.sigma(b) mod r: about r*H^n*vol(Q) points, where H*r(Q - p) holds
+    r^n*H^n*vol(Q) integer points."""
     if r == 1:
+        q = q.translate(tuple(-x for x in p)) if any(p) else q
+        den, tagged = tagged_lattice_points(q, height_bound)
         return den, [(v, m, -(-m // den)) for v, m in tagged]
-    classes, mod = _classes(p, r), r.__rmod__
-    table = []
-    for v, m in tagged:
-        sigma = classes.get(tuple(map(mod, v)))
-        if sigma is not None:
-            least = -(-m // den)
-            table.append((v, m, least + (sigma - least) % r))
-    return den, table
+    basis, classes = lambda_p(p).scaled_basis.vectors, _classes(p, r)
+    sigmas = [classes[tuple(x % r for x in b)] for b in basis]
+    inverse = tuple(zip(*invert_rational(basis)))
+    shifted = [[r * (a - c) for a, c in zip(w, p)] for w in q.vertices]
+    image = tuple(tuple(sum(map(operator.mul, w, col)) for col in inverse) for w in shifted)
+    den, tagged = tagged_lattice_points(RationalPolytope(q.dim, image), height_bound)
+    table, columns = [], tuple(zip(*basis))
+    for u, m in tagged:
+        least, sigma = -(-m // den), sum(map(operator.mul, u, sigmas))
+        v = tuple(sum(map(operator.mul, u, column)) for column in columns)
+        table.append((v, m, least + (sigma - least) % r))
+    return den, sorted(table)
 
 
 @frozen

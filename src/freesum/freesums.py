@@ -343,17 +343,11 @@ def decompose_sigma(
     the points (w, s) of cone(K) shifted down by that gap, those with
     s >= lambda_K(w) - i/d, which is t + s >= lambda(y) + lambda_K(w).  So
     the pair (y, w) maps y + w to ceil(lambda(y) + lambda_K(w)) if that is
-    at most H, and then lambda_K(w) <= H: the low of ``_pairs`` at r = 1,
-    read off the tables the Braun check reads.
-
-    The check is the split check.  Classification makes span(P) and span(K)
-    independent, so a hull point (z, T) has at most one real split z = y + w,
-    and (y, w) is counted there iff it is integral and lambda(y) +
-    lambda_K(w) <= T: the pass condition of ``_split_check`` at p = 0.
-    Each counted pair lies in cone(P) + cone(K), inside the hull cone.  So the
-    maps are equal, with no z reached twice, iff no hull point lacks its
-    split or has two; a mismatch raises, since equality holds for every free
-    sum, and names the lex-smallest (z, T) where the two series differ.
+    at most H: the low of ``_pairs`` at r = 1, read off the Braun check's
+    tables.  The check is ``_split_check`` at p = 0: the maps are equal, with
+    no z reached twice, iff no hull point lacks its split or has two.  A
+    mismatch raises, since equality holds for every free sum, and names the
+    lex-smallest (z, T) where the two series differ.
     """
     witness = classify_sum(p, k)
     if witness.kind != FREE_SUM:
@@ -481,12 +475,10 @@ def decomposition_check(
     p = qvec(p)
     if height_bound < 0:
         raise InputError("height bound must be nonnegative")
-    if not j.contains(p):
-        raise PreconditionError("projection point must lie in the first summand", "point-not-in-summand")
-    if not k.contains(p):
-        raise PreconditionError(
-            "projection point must lie in the second summand", "point-not-in-summand"
-        )
+    for q, which in ((j, "first"), (k, "second")):
+        if not q.contains(p):
+            message = f"projection point must lie in the {which} summand"
+            raise PreconditionError(message, "point-not-in-summand")
     basis = direction_basis(j) + direction_basis(k)
     if rational_rank(basis) != len(basis):
         raise PreconditionError("direction spaces intersect nontrivially", "spans-intersect-in-flat")

@@ -19,16 +19,20 @@ from freesum import (
     shifted_envelope_lattice_points,
     shifted_envelope_nonempty,
 )
-from freesum.cones import _classes
+import freesum.cones
+from freesum.cones import _class_table, _classes
 from freesum.errors import InputError, PreconditionError
 from freesum.linalg import in_pos_hull, qvec
+from freesum.polytopes import cone_hrep
 
 from conftest import (
     F,
+    _least_dilation,
     diamond,
     epsilon_project,
     lambda_p_basis_vectors,
     llenv_points_by_fractions,
+    oracle_lattice_points,
     poly,
     rind_contains,
     segment,
@@ -342,3 +346,40 @@ def test_shift_search_symmetry():
             minus = shifted_envelope_nonempty(p, rho, -1)
             if plus.exact and minus.exact:
                 assert plus.nonempty == minus.nonempty
+
+
+def test_class_table_walks_only_points_of_the_lattice(monkeypatch):
+    """For r > 1 the class table tags r*(Q - p) in coordinates of a basis of
+    r*Lambda^p: each walked point is kept, so the walk of the unit cube at p
+    = (1/97, 0, 0) to height 4 meets about r*H^3 = 6208 points, not the 59M
+    integer points of 4*97*(Q - p).  At r = 6 the table is the oracle's: the
+    integer points v of 2*6*(Q - p) in 6*Lambda^p, each with lambda'(v) and
+    the least height s >= lambda'(v) at which v/r + s*p is integral."""
+    cube = poly(3, *itertools.product((0, 1), repeat=3))
+    real, walked = freesum.cones.tagged_lattice_points, []
+
+    def recording(q, bound):
+        walked.append(real(q, bound))
+        return walked[-1]
+
+    monkeypatch.setattr(freesum.cones, "tagged_lattice_points", recording)
+    for p, r, bound in (((F(1, 2), F(1, 3), F(0)), 6, 2), ((F(1, 97), F(0), F(0)), 97, 4)):
+        walked.clear()
+        den, table = _class_table(cube, p, r, bound)
+        assert len(walked) == 1 and len(walked[0][1]) == len(table) <= r * (bound + 1) ** 3
+        assert [v for v, _, _ in table] == sorted(v for v, _, _ in table)
+    p, r, bound = (F(1, 2), F(1, 3), F(0)), 6, 2
+    shifted = cube.translate(tuple(-x for x in p)).dilate(r)
+    lam = lambda_p(p)
+    expected = []
+    for v in oracle_lattice_points(shifted, bound):
+        if in_lambda_p(lam, tuple(F(x, r) for x in v)):
+            dilation = _least_dilation(cone_hrep(shifted), v)
+            least = next(
+                s
+                for s in itertools.count(math.ceil(dilation))
+                if all((x + s * r * c) % r == 0 for x, c in zip(v, p))
+            )
+            expected.append((v, dilation, least))
+    den, table = _class_table(cube, p, r, bound)
+    assert [(v, F(m, den), least) for v, m, least in table] == expected

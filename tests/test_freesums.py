@@ -25,6 +25,7 @@ from freesum import (
     lattice_basis_of_span,
     sigma_cone,
 )
+from freesum.cones import _class_table
 from freesum.errors import ClassificationError, InternalCheckError, PreconditionError
 from freesum.linalg import qvec, rational_nullspace, rational_rank
 from freesum.polytopes import tagged_lattice_points
@@ -347,7 +348,6 @@ def test_braun_settles_integral_side_of_an_affine_sum(monkeypatch):
     k = poly(3, (F(1, 3), F(1, 3), F(-1, 3)), (F(1, 3), F(1, 3), F(1, 3)))
     witness = classify_sum(j, k)
     assert witness.kind == AFFINE_FREE_SUM and witness.r == 3
-    recentred_k = k.translate((F(-1, 3), F(-1, 3), 0)).dilate(3)
     real = freesum.cones.tagged_lattice_points
     tagged = []
 
@@ -358,8 +358,11 @@ def test_braun_settles_integral_side_of_an_affine_sum(monkeypatch):
     monkeypatch.setattr(freesum.cones, "tagged_lattice_points", recording)
     for bound in range(9):
         tagged.clear()
+        _class_table(k, witness.intersection_point, 3, bound)
+        walk_of_k = tagged[:]
+        tagged.clear()
         verdict = check_braun_multivariate.__wrapped__(witness, bound)
-        assert tagged == [(recentred_k, bound)]
+        assert len(walk_of_k) == 1 and tagged == walk_of_k
         assert verdict.holds_up_to_bound
         holds, counterexample, residual = braun_by_series(witness, bound)
         assert holds and counterexample is None and not residual.terms
@@ -603,18 +606,18 @@ def test_decomposition_check_violations_step_by_r():
 )
 def test_envelope_check_reuses_the_braun_walk(pair):
     """The envelope check of J at p reads J's class table, the one the Braun
-    check builds whenever K's table does not settle the verdict (on the
-    corpus at height 7, every affine pair): after such a Braun check the
-    envelope check tags nothing new."""
+    check builds whenever K's table does not settle the verdict, as on every
+    affine corpus pair at height 7: after the Braun check has tagged K and
+    J, the envelope check tags nothing new."""
     tagged_lattice_points.cache_clear()
     check_braun_multivariate.cache_clear()
     witness = classify_sum(pair.a, pair.b)
     before = tagged_lattice_points.cache_info().misses
     check_braun_multivariate(witness, 7)
     after = tagged_lattice_points.cache_info().misses
+    assert after - before == 2  # K, then J
     envelope_condition_check(pair.a, witness.intersection_point, 7)
-    if after - before == 2:  # K, then J
-        assert tagged_lattice_points.cache_info().misses == after
+    assert tagged_lattice_points.cache_info().misses == after
 
 
 @pytest.mark.parametrize("fault", sorted(SPLIT_FAULTS))
