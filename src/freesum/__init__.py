@@ -14,9 +14,7 @@ from .freesums import (
     check_braun_univariate, classify_sum, converse_search, decompose_sigma, decomposition_check,
     envelope_condition_check, gorenstein_affine_check, hull_union,
 )
-from .linalg import (
-    IntMatrix, LatticeBasis, complementary_in, hnf, in_pos_hull, lattice_basis_of_span,
-)
+from .linalg import IntMatrix, LatticeBasis, complementary_in, hnf, in_pos_hull
 from .polytopes import (
     DualPolyhedron, GorensteinData, HalfspaceRep, RationalPolytope, denominator, dual_denominator,
     gorenstein_data, halfspace_rep, interior_lattice_points_in_dilate, is_lattice_polyhedron,
@@ -43,7 +41,6 @@ __all__ = [
     "decomposition_check", "envelope_condition_check", "gorenstein_affine_check", "hull_union",
     # linalg
     "IntMatrix", "LatticeBasis", "complementary_in", "hnf", "in_pos_hull",
-    "lattice_basis_of_span",
     # polytopes
     "DualPolyhedron", "GorensteinData", "HalfspaceRep", "RationalPolytope", "denominator",
     "dual_denominator", "gorenstein_data", "halfspace_rep", "interior_lattice_points_in_dilate",

@@ -8,7 +8,6 @@ status: 0 success, 1 verdict failure, 2 input or precondition error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -28,6 +27,7 @@ from .jsonio import (
     format_point,
     format_series,
     format_univariate,
+    load_json,
     load_polytope,
 )
 from .polytopes import (
@@ -240,13 +240,7 @@ def _run_check(args):
 
 
 def _run_corpus(args):
-    try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
-    except OSError as exc:
-        raise FreesumError(f"cannot read {args.config}: {exc}", "input-error") from exc
-    except json.JSONDecodeError as exc:
-        raise FreesumError(f"malformed JSON in {args.config}: {exc}", "input-error") from exc
+    config = load_json(args.config)
     if args.height is not None and isinstance(config, dict):
         config = {**config, "height": args.height}
     return corpus_run(config)

@@ -3,8 +3,10 @@
 Classification runs the lattice-complementarity criterion: the two summands
 must meet in a single rational point p, and the direction-space lattices of
 the recentered summands must be complementary inside the refined lattice
-generated by the standard basis and p.  That is one integer identity, I(J u
-K) = I(J) * I(K) > 0, for I the gcd of the maximal minors of the direction
+generated by the standard basis and p.  The point p solves both summands'
+integer equations of their affine hulls, the span rows ``cone_hrep`` reads
+off the facet scan.  Complementarity is one integer identity, I(J u K) =
+I(J) * I(K) > 0, for I the gcd of the maximal minors of the direction
 rows in coordinates of r*Lambda^p, r = den(p): the index of their lattice in
 its saturation.  The product-formula checks compare truncated generating
 functions coefficient by coefficient.  Both sides are read off one table of
@@ -50,6 +52,7 @@ from .linalg import (
 from .polytopes import (
     RationalPolytope,
     _cone_member,
+    cone_hrep,
     denominator,
     direction_basis,
     gorenstein_data,
@@ -128,7 +131,6 @@ class UnivariateBraunVerdict:
     delta_rhs: tuple[Fraction, ...] | None
 
 
-@functools.lru_cache(maxsize=1024)
 def hull_union(j: RationalPolytope, k: RationalPolytope) -> RationalPolytope:
     """Convex hull of the union, with redundant generators pruned."""
     if j.dim != k.dim:
@@ -146,21 +148,17 @@ def classify_sum(j: RationalPolytope, k: RationalPolytope) -> FreeSumWitness:
     """
     if j.dim != k.dim:
         raise InputError("summands must share an ambient dimension")
-    n = j.dim
+    # The affine spans meet where both summands' equations e . (x, 1) = 0 hold.
+    equations = cone_hrep(j).span_rows + cone_hrep(k).span_rows
+    p = solve_linear([e[:-1] for e in equations], [-e[-1] for e in equations])
+    if p is None:
+        raise ClassificationError("affine spans do not intersect", "spans-disjoint")
     dirs_j = direction_basis(j)
     dirs_k = direction_basis(k)
-    v0, w0 = j.vertices[0], k.vertices[0]
-    columns = list(dirs_j) + [tuple(-x for x in d) for d in dirs_k]
-    rows = [[col[i] for col in columns] for i in range(n)]
-    rhs = [a - b for a, b in zip(w0, v0)]
-    sol = solve_linear(rows, rhs) if columns else (None if any(rhs) else ())
-    if sol is None:
-        raise ClassificationError("affine spans do not intersect", "spans-disjoint")
-    if rational_rank(list(dirs_j) + list(dirs_k)) != len(dirs_j) + len(dirs_k):
+    if rational_rank(dirs_j + dirs_k) != len(dirs_j) + len(dirs_k):
         raise ClassificationError(
             "affine spans intersect in more than a point", "spans-intersect-in-flat"
         )
-    p = tuple(v + sum(c * d[t] for c, d in zip(sol, dirs_j)) for t, v in enumerate(v0))
     if not (j.contains(p) and k.contains(p)):
         raise ClassificationError(
             "intersection point of the affine spans is not in both summands",

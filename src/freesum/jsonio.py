@@ -61,15 +61,20 @@ def parse_polytope(obj) -> RationalPolytope:
     return RationalPolytope.from_points(dim, points)
 
 
-def load_polytope(path: str) -> RationalPolytope:
+def load_json(path: str):
+    """The decoded contents of a JSON file; an unreadable or malformed file
+    raises InputError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
-    return parse_polytope(obj)
+
+
+def load_polytope(path: str) -> RationalPolytope:
+    return parse_polytope(load_json(path))
 
 
 def format_series(s: TruncatedSeries) -> dict:

@@ -297,21 +297,6 @@ def solve_linear(rows, rhs) -> QVector | None:
     return tuple(x)
 
 
-def rational_nullspace(rows, ncols: int) -> list[QVector]:
-    """Basis of the rational solution space of ``rows @ x = 0``."""
-    red, pivots = _echelon(rows)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for row, col in zip(red, pivots):
-            x[col] = Fraction(-row[f], row[col])
-        basis.append(tuple(x))
-    return basis
-
-
 def invert_rational(rows) -> list[QVector]:
     """Exact inverse of a square rational matrix, as a list of rows."""
     n = len(rows)
@@ -359,21 +344,6 @@ def canonical_basis(rows, ambient_dim: int) -> LatticeBasis:
     """HNF-canonical LatticeBasis for the lattice generated by integer rows."""
     h, _ = _hnf_rows([[int(x) for x in r] for r in rows], ambient_dim)
     return LatticeBasis(ambient_dim, tuple(tuple(r) for r in h if any(r)))
-
-
-def lattice_basis_of_span(vectors, ambient_dim: int) -> LatticeBasis:
-    """Canonical basis of (span of ``vectors``) intersected with Z^ambient_dim.
-
-    This is the saturation of the lattice generated by the (rational) input
-    vectors: computed as the integer kernel of the integer kernel of the
-    primitive generators.
-    """
-    rows = [r for r in map(primitive_vector, vectors) if any(r)]
-    if not rows:
-        return LatticeBasis(ambient_dim, ())
-    complement = integer_kernel(rows, ambient_dim)
-    saturated = integer_kernel(complement, ambient_dim)
-    return canonical_basis(saturated, ambient_dim)
 
 
 def _det(m: list[list[int]]) -> int:

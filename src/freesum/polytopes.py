@@ -2,10 +2,11 @@
 
 A polytope is stored by its irredundant vertex list in Q^n.  Each point set
 gets one facet scan (``_affine_data``), on ints, and every geometric view
-reads from it: the vertex test, the integer cone description used for
-membership and enumeration, the facet functionals relative to the linear
-span, and the polar dual.  ``from_points`` keeps the scan for the vertices
-it returns, and ``translate`` and ``dilate`` move it with the polytope.
+reads from it: the vertex test, the integer equations of the affine hull,
+the integer cone description used for membership and enumeration, the
+saturated lattice of lin(P), the facet functionals relative to it, and the
+polar dual.  ``from_points`` keeps the scan for the vertices it returns,
+and ``translate`` and ``dilate`` move it with the polytope.
 Lattice points of a dilate are enumerated in integer coordinates of its
 affine lattice (``_slice_frame``), on plain ints, with no candidate that
 fails a facet and, by Fourier-Motzkin bounds, no prefix empty over the
@@ -30,13 +31,13 @@ from .linalg import (
     Vector,
     _det,
     _echelon,
+    canonical_basis,
     clear_denominators,
     hnf,
+    integer_kernel,
     invert_rational,
-    lattice_basis_of_span,
     primitive_vector,
     qvec,
-    rational_nullspace,
     rational_rank,
 )
 from .records import frozen
@@ -69,11 +70,11 @@ class RationalPolytope:
             raise InputError("a polytope needs at least one point")
         if any(len(p) != dim for p in pts):
             raise InputError("vertex dimension mismatch")
-        basis, is_vertex, facets = _affine_data(pts)
+        basis, is_vertex, facets, equations = _affine_data(pts)
         vertices = tuple(p for p, keep in zip(pts, is_vertex) if keep)
         if len(vertices) < len(pts):
-            # The vertices span the same hull: same facets, same basis.
-            _store(vertices, (basis, (True,) * len(vertices), facets))
+            # The vertices span the same hull: same facets, basis, equations.
+            _store(vertices, (basis, (True,) * len(vertices), facets, equations))
         return cls(dim, vertices)
 
     @property
@@ -95,15 +96,17 @@ class RationalPolytope:
     def _image(self, factor: Fraction, shift: QVector) -> RationalPolytope:
         """Image under x -> factor*x + shift, with its facet data moved from
         this polytope's instead of scanned again: the direction space, and
-        with it the basis, is unchanged, and a facet row (c, c0) with
-        c.x + c0 <= 0 becomes (c, factor*c0 - c.shift), made primitive."""
+        with it the basis, is unchanged, and a facet row or equation (c, c0)
+        on c.x + c0 becomes (c, factor*c0 - c.shift), made primitive."""
         vertices = tuple(tuple(factor * a + s for a, s in zip(v, shift)) for v in self.vertices)
-        basis, is_vertex, rows = _affine_data(self.vertices)
-        moved = []
-        for row in rows:
-            offset = factor * row[-1] - sum(a * s for a, s in zip(row, shift))
-            moved.append(primitive_vector(row[:-1] + (offset,)))
-        _store(vertices, (basis, is_vertex, tuple(sorted(moved))))
+        basis, is_vertex, rows, equations = _affine_data(self.vertices)
+
+        def move(row):
+            offset = factor * row[-1] - sum(map(operator.mul, row, shift))
+            return primitive_vector(row[:-1] + (offset,))
+
+        moved = tuple(sorted(map(move, rows))), tuple(map(move, equations))
+        _store(vertices, (basis, is_vertex, *moved))
         return RationalPolytope(self.dim, vertices)
 
     def contains(self, point) -> bool:
@@ -174,10 +177,12 @@ def _store(points: tuple[QVector, ...], data: tuple) -> None:
 def _affine_data(points: tuple[QVector, ...]):
     """The facet scan of conv(points), run once per point set.
 
-    Returns (direction_basis_rows, is_vertex, facet_rows).  The basis is the
-    reduced row echelon form of the direction space with each row made
-    primitive.  Each facet row h is primitive and integral, zero off the
-    basis's pivot columns and the last entry, with conv(points) =
+    Returns (direction_basis_rows, is_vertex, facet_rows, equations).  The
+    basis is the reduced row echelon form of the direction space with each
+    row made primitive.  The equations are primitive integer rows e, one
+    per free column of the basis, with aff(points) = {x : e . (x, 1) = 0}.
+    Each facet row h is primitive and integral, zero off the basis's pivot
+    columns and the last entry, with conv(points) =
     {x in aff : h . (x, 1) <= 0}.  A point is a vertex iff the facets tight
     at it have normals of rank equal to the affine dimension d (for d = 0
     every point passes).  ``from_points``, ``translate`` and ``dilate``
@@ -203,11 +208,23 @@ def _facet_scan(points: tuple[QVector, ...]):
     common denominator, as ints.  Points of the affine hull are fixed by
     their pivot coordinates, so the hull is a full-dimensional polytope in
     those d coordinates: each facet is spanned by d of the points, with the
-    cofactors of their differences as normal and every point on one side."""
+    cofactors of their differences as normal and every point on one side.
+    The equation of a free column c is the kernel vector a of the basis
+    with a_c = l, l the lcm of the pivot entries, which clears a_pivot(i) =
+    -l * red[i][c] / red[i][pivot(i)], and the row (scale * a, -a . pts[0])."""
     scale = math.lcm(*(x.denominator for v in points for x in v))
     pts = [[x.numerator * (scale // x.denominator) for x in v] for v in points]
     red, pivots = _echelon([[a - b for a, b in zip(v, pts[0])] for v in pts[1:]])
     d = len(pivots)
+    n, lcm = len(pts[0]), math.lcm(*(row[c] for row, c in zip(red, pivots)))
+    equations = []
+    for c in [c for c in range(n) if c not in pivots]:
+        a = [0] * n
+        a[c] = lcm
+        for row, pc in zip(red, pivots):
+            a[pc] = -(lcm // row[pc]) * row[c]
+        offset = -sum(map(operator.mul, a, pts[0]))
+        equations.append(primitive_vector([scale * x for x in a] + [offset]))
     coords = [[v[c] for c in pivots] for v in pts]
     facets = set()
     for subset in itertools.combinations(coords, d) if d else ():
@@ -227,11 +244,11 @@ def _facet_scan(points: tuple[QVector, ...]):
     )
     rows = []
     for f in facets:
-        row = [0] * len(pts[0]) + [f[-1]]
+        row = [0] * n + [f[-1]]
         for c, a in zip(pivots, f):
             row[c] = scale * a
         rows.append(primitive_vector(row))
-    return tuple(tuple(row) for row in red[:d]), is_vertex, tuple(sorted(rows))
+    return tuple(tuple(row) for row in red[:d]), is_vertex, tuple(sorted(rows)), tuple(equations)
 
 
 def direction_basis(p: RationalPolytope) -> tuple[Vector, ...]:
@@ -241,15 +258,13 @@ def direction_basis(p: RationalPolytope) -> tuple[Vector, ...]:
 
 @functools.lru_cache(maxsize=1024)
 def cone_hrep(p: RationalPolytope) -> ConeHRep:
-    """Integer halfspace description of the cone over P at height one."""
-    n = p.dim
-    gens = [v + (Fraction(1),) for v in p.vertices]
-    span_rows = tuple(primitive_vector(z) for z in rational_nullspace(gens, n + 1))
-    facet_rows = _affine_data(p.vertices)[2]
+    """Integer halfspace description of the cone over P at height one: the
+    scan's equations of the affine hull are its span rows."""
+    _, _, facet_rows, span_rows = _affine_data(p.vertices)
     if not facet_rows:
         # A single point: one halfspace cutting the ray out of its line.
-        facet_rows = (tuple(-x for x in primitive_vector(gens[0])),)
-    return ConeHRep(n + 1, span_rows, facet_rows)
+        facet_rows = (tuple(-x for x in primitive_vector(p.vertices[0] + (1,))),)
+    return ConeHRep(p.dim + 1, span_rows, facet_rows)
 
 
 def _cone_member(hrep: ConeHRep, point, strict: bool = False) -> bool:
@@ -434,8 +449,7 @@ def lattice_points_in_dilate(p: RationalPolytope, k: int) -> list[Vector]:
 def interior_lattice_points_in_dilate(p: RationalPolytope, k: int) -> list[Vector]:
     """Integer points in the relative interior of k*P."""
     hrep = cone_hrep(p)
-    pts = lattice_points_in_scaled(p, Fraction(k))
-    return [y for y in pts if _cone_member(hrep, y + (k,), strict=True)]
+    return [y for y in lattice_points_in_dilate(p, k) if _cone_member(hrep, y + (k,), strict=True)]
 
 
 def _require_origin(p: RationalPolytope) -> None:
@@ -447,17 +461,20 @@ def _require_origin(p: RationalPolytope) -> None:
 def halfspace_rep(p: RationalPolytope) -> HalfspaceRep:
     """Facet functionals of P relative to lin(P); requires the origin in P.
 
-    Read off the facet rows of ``cone_hrep``: with the origin in P, lin(P) is
-    the affine hull, so each row (c, -c0) restricted to the span basis gives
-    c.b <= c0, normalized to right-hand side 1 when c0 > 0.
+    Read off ``cone_hrep``: with the origin in P, lin(P) is the affine hull,
+    so its lattice is the integer kernel of the span rows' normals, and each
+    facet row (c, -c0) restricted to the span basis gives c.b <= c0,
+    normalized to right-hand side 1 when c0 > 0.
     """
     _require_origin(p)
-    span_basis = lattice_basis_of_span(p.vertices, p.dim)
+    hrep = cone_hrep(p)
+    normals = [row[:-1] for row in hrep.span_rows]
+    span_basis = canonical_basis(integer_kernel(normals, p.dim), p.dim)
     if span_basis.rank == 0:
         return HalfspaceRep(span_basis, (), ())
     one: list[QVector] = []
     zero: list[Vector] = []
-    for row in cone_hrep(p).facet_rows:
+    for row in hrep.facet_rows:
         c, c0 = row[:-1], -row[-1]
         cb = [sum(a * b for a, b in zip(c, vec)) for vec in span_basis.vectors]
         if c0 > 0:

@@ -8,14 +8,15 @@ Coefficients are exact integers.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
-from .cones import ConeOverPolytope
+from .cones import ConeOverPolytope, cone_over
 from .errors import InputError, InternalCheckError, TruncationError
-from .polytopes import RationalPolytope, denominator, lattice_points_in_dilate
+from .polytopes import RationalPolytope, denominator
 from .records import frozen
 
 Exponent = tuple[int, ...]
@@ -125,9 +126,15 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def ehrhart_series(p: RationalPolytope, height_bound: int) -> UnivariateSeries:
-    """Counting series of lattice points in integer dilates, by direct counts."""
-    coeffs = tuple(len(lattice_points_in_dilate(p, k)) for k in range(height_bound + 1))
-    return UnivariateSeries(height_bound, coeffs)
+    """Counting series of lattice points in integer dilates, counted off the
+    height ranges of ``lattice_points_by_height`` by a difference array."""
+    if height_bound < 0:
+        return UnivariateSeries(height_bound, ())
+    steps = [0] * (height_bound + 2)
+    for _, heights in cone_over(p).lattice_points_by_height(height_bound):
+        steps[heights.start] += 1
+        steps[heights.stop] -= 1
+    return UnivariateSeries(height_bound, tuple(itertools.accumulate(steps[:-1])))
 
 
 def poly_mul(a, b):

@@ -24,8 +24,9 @@ from freesum.linalg import (
     canonical_basis,
     clear_denominators,
     in_pos_hull,
+    integer_kernel,
     invert_rational,
-    lattice_basis_of_span,
+    primitive_vector,
     qvec,
     rational_rank,
 )
@@ -363,6 +364,17 @@ def oracle_lattice_members(basis: LatticeBasis, bound: int):
         )
         out.add(pt)
     return out
+
+
+def lattice_basis_of_span(vectors, ambient_dim: int) -> LatticeBasis:
+    """Canonical basis of (span of ``vectors``) intersected with Z^ambient_dim,
+    the saturation of the lattice the rational vectors generate: the integer
+    kernel of the integer kernel of the primitive generators."""
+    rows = [r for r in map(primitive_vector, vectors) if any(r)]
+    if not rows:
+        return LatticeBasis(ambient_dim, ())
+    complement = integer_kernel(rows, ambient_dim)
+    return canonical_basis(integer_kernel(complement, ambient_dim), ambient_dim)
 
 
 def hermite_complementary(target: LatticeBasis, a, b) -> bool:

@@ -86,7 +86,6 @@ def test_traced_names_resolve(traced):
         polytopes.polar_dual,
         polytopes.tagged_lattice_points,
         cones.cone_over,
-        freesums.hull_union,
         freesums.classify_sum,
         freesums.check_braun_multivariate,
         series.sigma_cone,
@@ -98,6 +97,20 @@ def test_caches_are_bounded(cached):
     cache without limit."""
     maxsize = cached.cache_info().maxsize
     assert maxsize is not None and maxsize > 0
+
+
+def test_package_imports_only_the_standard_library():
+    """``dependencies = []`` holds: every module the package imports, read
+    from its source, is in the standard library or is the package itself."""
+    imported = set()
+    for path in Path(freesum.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module.split(".")[0] if not node.level else "freesum")
+    assert {"fractions", "freesum"} <= imported
+    assert imported - set(sys.stdlib_module_names) == {"freesum"}
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

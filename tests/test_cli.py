@@ -269,6 +269,18 @@ def test_cli_malformed_json(tmp_path):
     assert json.loads(err)["error"] == "input-error"
 
 
+@pytest.mark.parametrize("text, detail", [(None, "cannot read"), ("{nope", "malformed JSON in")])
+def test_cli_corpus_unreadable_or_malformed_config(tmp_path, text, detail):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    status, out, err = run_cli(["corpus", "--config", str(path)])
+    assert (status, out) == (2, "")
+    report = json.loads(err)
+    assert report["error"] == "input-error"
+    assert report["detail"].startswith(f"{detail} {path}: ")
+
+
 def test_cli_corpus_on_bundled_config():
     status, out, _ = run_cli(["corpus", "--config", str(CORPUS_FILE), "--height", "4"])
     assert status == 0

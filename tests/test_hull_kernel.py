@@ -3,16 +3,21 @@
 Point sets live in dimensions 1-3 on flats of every dimension, skew to the
 axes, with interior points, midpoints and duplicates mixed in.  Vertices,
 membership, facet functionals and the polar dual are each compared with
-what ``in_convex_hull`` / ``in_pos_hull`` decide by subset search.
+what ``in_convex_hull`` / ``in_pos_hull`` decide by subset search.  The
+scan's equations of the affine hull are compared with sympy's null space
+and with the tests' saturation oracle, in dimensions 1-4.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
 import freesum.polytopes
 from freesum import RationalPolytope, halfspace_rep, polar_dual
@@ -26,7 +31,7 @@ from freesum.polytopes import (
     cone_hrep,
 )
 
-from conftest import in_convex_hull
+from conftest import in_convex_hull, lattice_basis_of_span
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
@@ -137,6 +142,51 @@ def test_polar_dual_matches_caratheodory_pruning(case):
             sum(a * b for a, b in zip(phi, coords)) <= 1 for phi in rep.one_facets
         ) and all(sum(a * b for a, b in zip(psi, coords)) <= 0 for psi in rep.zero_facets)
         assert inside == in_convex_hull(q, p.vertices)
+
+
+@st.composite
+def flats(draw):
+    """(dim, points): 1-7 points of Q^n, n in 1..4, with denominators
+    dividing q <= 3, on the flat through a base point along k integer
+    directions, k in 0..n (a single point when k = 0)."""
+    n = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 3))
+    coefficient = st.integers(-2 * q, 2 * q).map(lambda a: Fraction(a, q))
+    base = [draw(coefficient) for _ in range(n)]
+    dirs = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(draw(st.integers(0, n)))]
+    points = []
+    for _ in range(draw(st.integers(1, 7))):
+        coeffs = [draw(coefficient) for _ in dirs]
+        offsets = [sum(c * d[j] for c, d in zip(coeffs, dirs)) for j in range(n)]
+        points.append(tuple(map(operator.add, base, offsets)))
+    return n, points
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flats(), st.lists(small, min_size=4, max_size=4), small.filter(lambda f: f > 0))
+def test_span_rows_are_the_affine_hulls_integer_equations(case, shift, factor):
+    """On P, a translate, a dilate and a recentring of P at its vertex
+    centroid, ``cone_hrep(P).span_rows`` are n - d primitive integer rows
+    that vanish on every (v, 1) and span sympy's null space of the
+    homogenized vertices; with the origin in P, ``halfspace_rep`` has the
+    saturation oracle's basis of lin(P)."""
+    dim, points = case
+    p = RationalPolytope.from_points(dim, points)
+    centroid = [-sum(xs) / len(p.vertices) for xs in zip(*p.vertices)]
+    for q in (p, p.translate(shift[:dim]), p.dilate(factor), p.translate(centroid).dilate(factor)):
+        rows = cone_hrep(q).span_rows
+        gens = [v + (1,) for v in q.vertices]
+        d = Matrix([[a - b for a, b in zip(v, q.vertices[0])] for v in q.vertices]).rank()
+        assert len(rows) == dim - d
+        for row in rows:
+            assert all(type(a) is int for a in row) and math.gcd(*row) == 1
+            assert all(sum(a * b for a, b in zip(row, g)) == 0 for g in gens)
+        nullspace = [list(v) for v in Matrix(gens).nullspace()]
+        assert len(nullspace) == len(rows)
+        if rows:
+            assert Matrix(list(rows)).rank() == Matrix(list(rows) + nullspace).rank() == len(rows)
+        if in_convex_hull((Fraction(0),) * dim, q.vertices):
+            assert halfspace_rep(q).span_basis == lattice_basis_of_span(q.vertices, dim)
 
 
 @kernel_settings

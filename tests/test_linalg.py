@@ -20,8 +20,6 @@ from freesum.linalg import (
     hnf,
     in_pos_hull,
     invert_rational,
-    lattice_basis_of_span,
-    rational_nullspace,
     rational_rank,
     snf,
     solve_linear,
@@ -31,6 +29,7 @@ from conftest import (
     F,
     hermite_complementary,
     in_convex_hull,
+    lattice_basis_of_span,
     oracle_complementary,
     pos_hull_membership,
     standard_lattice,
@@ -72,14 +71,6 @@ def fractions_of(m: Matrix) -> list[tuple[Fraction, ...]]:
 def test_rational_rank_matches_sympy():
     for m in random_rational_matrices(41, 300):
         assert rational_rank(m) == Matrix(m).rank()
-
-
-def test_rational_nullspace_matches_sympy():
-    """sympy's nullspace also sets one free variable to 1 and reads the
-    pivot variables off the reduced form, free columns in order."""
-    for m in random_rational_matrices(42, 300):
-        expected = [fractions_of(v.T)[0] for v in Matrix(m).nullspace()]
-        assert rational_nullspace(m, len(m[0])) == expected
 
 
 def test_solve_linear_matches_sympy():
@@ -203,6 +194,9 @@ def test_hnf_rows_generate_the_sympy_lattice():
         assert len(nonzero) == basis.rows
         if nonzero:
             assert hermite_normal_form(Matrix(nonzero).T) == hermite_normal_form(basis.T)
+
+
+# The saturation oracle of the tests (``conftest.lattice_basis_of_span``).
 
 
 def test_saturation_axis_line():
