@@ -15,7 +15,6 @@ lists one layer of the walk at p = 0.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from fractions import Fraction
@@ -84,7 +83,6 @@ class ConeOverPolytope:
         return [(y, ts[t : t + 1]) for t in ts for y in lattice_points_in_scaled(self.base, t)]
 
 
-@functools.lru_cache(maxsize=1024)
 def cone_over(p: RationalPolytope) -> ConeOverPolytope:
     """The cone over P with its integer halfspace description."""
     return ConeOverPolytope(p, cone_hrep(p))

@@ -4,8 +4,12 @@ Everything here is exact and no floating point is used anywhere.  Integer
 vectors are tuples of ``int``; rational vectors may mix ``int`` and
 ``fractions.Fraction``.  Elimination runs on integers: each rational row is
 scaled by the lcm of its denominators and reduced fraction-free, and
-Fractions are built only for the values a function returns.  The scale is
-small (ambient dimensions <= 5, a few dozen vectors).
+Fractions are built only for the values a function returns.  One routine
+(``_hnf_rows``) computes every integer normal form: the row Hermite form
+with its unimodular transform, the Smith form by alternating it on the
+matrix and its transpose, integer kernels, and the inverse of a unimodular
+matrix, whose Hermite form is the identity.  The scale is small (ambient
+dimensions <= 5, a few dozen vectors).
 """
 
 from __future__ import annotations
@@ -77,12 +81,6 @@ def _row_sub(a: list[list[int]], i: int, j: int, q: int) -> None:
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
 
 
-def _col_sub(a: list[list[int]], i: int, j: int, q: int) -> None:
-    if q:
-        for row in a:
-            row[i] -= q * row[j]
-
-
 def hnf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form.
 
@@ -140,83 +138,39 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form.
 
     Returns ``(u, d, v)`` with ``d = u * m * v`` diagonal, diagonal entries
-    nonnegative with ``d[i] | d[i+1]``, and ``u``, ``v`` unimodular.  No
+    nonnegative with ``d[i] | d[i+1]``, and ``u``, ``v`` unimodular.  Row
+    Hermite forms of the matrix and of its transpose alternate until it is
+    diagonal; where d[t] does not divide d[t+1], column t+1 is added to
+    column t, and the next passes lower d[t] to gcd(d[t], d[t+1]).  No
     module of the package calls it (lattice saturation takes kernels from
-    Hermite forms), so it is not exported; it stays because the benchmark's
-    tracer wraps it.
+    Hermite forms), so it is not exported; the benchmark's tracer wraps it.
     """
-    a = [list(r) for r in m.entries]
-    nr, nc = m.rows, m.cols
-    u = _identity_rows(nr)
-    v = _identity_rows(nc)
+    # a = p * m * q^T.  A pass puts a in row Hermite form (step * a) and
+    # transposes it, which swaps the roles of p and q; two passes return to
+    # m's orientation.
+    a, p, q = m.entries, _identity_rows(m.rows), _identity_rows(m.cols)
+    while True:
+        for _ in range(2):
+            a, step = _hnf_rows(a, len(q))
+            a, p, q = _transpose(a, len(q)), q, _mul(step, p)
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            continue
+        diag = [a[i][i] for i in range(min(m.rows, m.cols))]
+        t = next((t for t, x in enumerate(diag[:-1]) if x and diag[t + 1] % x), None)
+        if t is None:
+            return _matrix(p, m.rows), _matrix(a, m.cols), _matrix(_transpose(q, m.cols), m.cols)
+        for row in a:
+            row[t] += row[t + 1]
+        q[t] = [x + y for x, y in zip(q[t], q[t + 1])]
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        for mat in (a, v):
-            for row in mat:
-                row[i], row[j] = row[j], row[i]
+def _transpose(rows, ncols: int) -> list[list[int]]:
+    return [[row[j] for row in rows] for j in range(ncols)]
 
-    def clear_at(t: int) -> None:
-        while True:
-            candidates = [
-                (abs(a[r][c]), r, c)
-                for r in range(t, nr)
-                for c in range(t, nc)
-                if a[r][c] != 0
-            ]
-            if not candidates:
-                return
-            _, r, c = min(candidates)
-            if r != t:
-                swap_rows(t, r)
-            if c != t:
-                swap_cols(t, c)
-            dirty = False
-            for r in range(nr):
-                if r != t and a[r][t] != 0:
-                    q = a[r][t] // a[t][t]
-                    _row_sub(a, r, t, q)
-                    _row_sub(u, r, t, q)
-                    dirty = dirty or a[r][t] != 0
-            for c in range(nc):
-                if c != t and a[t][c] != 0:
-                    q = a[t][c] // a[t][t]
-                    _col_sub(a, c, t, q)
-                    _col_sub(v, c, t, q)
-                    dirty = dirty or a[t][c] != 0
-            if not dirty and all(a[r][t] == 0 for r in range(nr) if r != t) and all(
-                a[t][c] == 0 for c in range(nc) if c != t
-            ):
-                return
 
-    size = min(nr, nc)
-    for t in range(size):
-        clear_at(t)
-    for t in range(size):
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-    # Repair the divisibility chain: whenever d_t does not divide d_{t+1},
-    # fold column t+1 into column t and re-eliminate from position t.
-    t = 0
-    while t + 1 < size:
-        dt, dn = a[t][t], a[t + 1][t + 1]
-        if dt != 0 and dn % dt != 0:
-            _col_sub(a, t, t + 1, -1)
-            _col_sub(v, t, t + 1, -1)
-            for s in range(t, size):
-                clear_at(s)
-            for s in range(size):
-                if a[s][s] < 0:
-                    a[s] = [-x for x in a[s]]
-                    u[s] = [-x for x in u[s]]
-            t = max(t - 1, 0)
-        else:
-            t += 1
-    return _matrix(u, nr), _matrix(a, nc), _matrix(v, nc)
+def _mul(x, y) -> list[list[int]]:
+    """Product of square integer matrices given by rows."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
 
 
 def integer_kernel(rows: list[Vector], ncols: int) -> list[Vector]:

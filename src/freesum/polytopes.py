@@ -31,11 +31,11 @@ from .linalg import (
     Vector,
     _det,
     _echelon,
+    _hnf_rows,
     canonical_basis,
     clear_denominators,
     hnf,
     integer_kernel,
-    invert_rational,
     primitive_vector,
     qvec,
     rational_rank,
@@ -281,7 +281,7 @@ def lattice_points_in_scaled(p: RationalPolytope, factor) -> tuple[Vector, ...]:
     lam = Fraction(factor)
     if lam < 0:
         raise InputError("dilation factor must be nonnegative")
-    return _lattice_points_in_scaled(p, lam)
+    return _walk(p, lam.numerator, lam.denominator)
 
 
 @frozen
@@ -344,8 +344,9 @@ def _slice_frame(p: RationalPolytope) -> _SliceFrame:
         h, u = hnf(IntMatrix.from_rows(list(zip(*(row[:n] for row in hrep.span_rows)))))
         columns = u.entries
         lower = tuple(tuple(h.entries[j][i] for j in range(i + 1)) for i in range(r))
-        inverse = invert_rational(columns)
-        # x = U^-1 v, and U^-1 is the transpose of u^-1.
+        # The Hermite form of the unimodular u is the identity, so its
+        # transform is u^-1; x = U^-1 v, and U^-1 is the transpose of u^-1.
+        _, inverse = _hnf_rows(columns, n)
         first = [sum(inverse[j][r] * v[j] for j in range(n)) for v in p.vertices] if r < n else [0]
     else:
         columns = IntMatrix.identity(n).entries
@@ -369,11 +370,6 @@ def _slice_frame(p: RationalPolytope) -> _SliceFrame:
     consts = tuple(row[n] for row in hrep.span_rows)
     z0 = (min(first), max(first))  # the exact projection of P on z_0
     return _SliceFrame(lower, consts, columns, tuple(facets), derived, steps, bounds, z0)
-
-
-@functools.lru_cache(maxsize=4096)
-def _lattice_points_in_scaled(p: RationalPolytope, lam: Fraction) -> tuple[Vector, ...]:
-    return _walk(p, lam.numerator, lam.denominator)
 
 
 def _walk(p: RationalPolytope, num: int, q: int, den: int = 0) -> tuple:
@@ -457,7 +453,6 @@ def _require_origin(p: RationalPolytope) -> None:
         raise PreconditionError("the origin must lie in the polytope", "origin-not-in-polytope")
 
 
-@functools.lru_cache(maxsize=1024)
 def halfspace_rep(p: RationalPolytope) -> HalfspaceRep:
     """Facet functionals of P relative to lin(P); requires the origin in P.
 
@@ -518,9 +513,6 @@ def is_reflexive(p: RationalPolytope) -> bool:
         return False
     origin = (Fraction(0),) * p.dim
     if not p.contains(origin):
-        return False
-    rep = halfspace_rep(p)
-    if rep.zero_facets:
         return False
     dual = polar_dual(p)
     return not dual.ray_functionals and is_lattice_polyhedron(dual)

@@ -129,7 +129,7 @@ def ehrhart_series(p: RationalPolytope, height_bound: int) -> UnivariateSeries:
     """Counting series of lattice points in integer dilates, counted off the
     height ranges of ``lattice_points_by_height`` by a difference array."""
     if height_bound < 0:
-        return UnivariateSeries(height_bound, ())
+        raise InputError("height bound must be nonnegative")
     steps = [0] * (height_bound + 2)
     for _, heights in cone_over(p).lattice_points_by_height(height_bound):
         steps[heights.start] += 1

@@ -28,6 +28,7 @@ from freesum import (
     decompose_sigma,
     decomposition_check,
     dual_denominator,
+    ehrhart_series,
     shifted_envelope_lattice_points,
     shifted_envelope_nonempty,
 )
@@ -113,7 +114,8 @@ def test_dilation_helpers_require_origin():
 
 def test_tagged_walk_rejects_negative_heights():
     """A negative height is an input error, as for ``lattice_points_in_scaled``,
-    also where it reaches the tagged walk through its readers."""
+    also where it reaches the tagged walk through its readers and in
+    ``ehrhart_series``."""
     seg = poly(1, (-1,), (2,))
     with pytest.raises(InputError):
         tagged_lattice_points(seg, -1)
@@ -123,6 +125,9 @@ def test_tagged_walk_rejects_negative_heights():
         shifted_envelope_nonempty(seg, F(1, 2), 1, F(-1, 2))
     with pytest.raises(InputError):
         shifted_envelope_lattice_points(seg, 0, -1)
+    for bound in (-1, -2):
+        with pytest.raises(InputError, match="nonnegative"):
+            ehrhart_series(seg, bound)
     free = classify_sum(poly(2, (-1, 0), (2, 0)), poly(2, (0, -1), (0, 1)))
     affine = classify_sum(poly(2, (0, 0), (1, 0)), poly(2, (F(1, 2), -1), (F(1, 2), 1)))
     for witness in (free, affine):

@@ -182,6 +182,66 @@ def test_snf_diagonal_matches_sympy():
         assert [d.entries[i][i] for i in range(size)] == [abs(theirs[i, i]) for i in range(size)]
 
 
+@st.composite
+def small_int_matrices(draw):
+    """Matrices of shape 0-5 x 0-5 with entries in [-9, 9]; some rows repeat
+    an earlier row and some rows or columns are zero."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("random", "random", "zero", "repeat")))
+        if kind == "repeat" and entries:
+            entries.append(draw(st.sampled_from(entries)))
+        elif kind == "zero":
+            entries.append((0,) * cols)
+        else:
+            entries.append(tuple(draw(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols))))
+    if cols and draw(st.booleans()):
+        zero = draw(st.integers(0, cols - 1))
+        entries = [row[:zero] + (0,) + row[zero + 1 :] for row in entries]
+    return IntMatrix(rows, cols, tuple(entries))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_int_matrices())
+@example(IntMatrix(3, 0, ((), (), ())))
+@example(IntMatrix(0, 3, ()))
+@example(IntMatrix.from_rows([[2, 0], [0, 3]]))
+@example(IntMatrix.from_rows([[6, 0, 0], [0, 10, 0], [0, 0, 15]]))
+def test_snf_properties_and_sympy_diagonal(m):
+    """d = u m v has m's shape, u and v are unimodular, and d is diagonal,
+    nonnegative and divisible in order, with sympy's diagonal."""
+    u, d, v = snf(m)
+    assert (d.rows, d.cols) == (m.rows, m.cols)
+    assert (u.rows, u.cols, v.rows, v.cols) == (m.rows, m.rows, m.cols, m.cols)
+    assert mat(u) * mat(m) * mat(v) == mat(d)
+    assert abs(mat(u).det()) == 1 and abs(mat(v).det()) == 1
+    assert all(x == 0 for i, row in enumerate(d.entries) for j, x in enumerate(row) if i != j)
+    diag = [d.entries[i][i] for i in range(min(m.rows, m.cols))]
+    assert all(x >= 0 for x in diag)
+    assert all(y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:]))
+    theirs = smith_normal_form(mat(m), domain=ZZ)
+    assert diag == [abs(theirs[i, i]) for i in range(len(diag))]
+
+
+def test_hnf_of_unimodular_is_identity_and_inverse():
+    """The Hermite form of a unimodular matrix is the identity, so its
+    transform is the inverse, the fact ``_slice_frame`` reads U^-1 from."""
+    rng = random.Random(17)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        m = IntMatrix.identity(n)
+        for _ in range(12):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if i != j:
+                rows, k = [list(r) for r in m.entries], rng.randint(-3, 3)
+                rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+                m = IntMatrix.from_rows(rows if rng.random() < 0.8 else rows[::-1])
+        h, u = hnf(m)
+        assert h.entries == IntMatrix.identity(n).entries
+        assert mat(u) == mat(m).inv()
+
+
 def test_hnf_rows_generate_the_sympy_lattice():
     # sympy's HNF is a column form whose layout differs from ours, so the two
     # are compared as lattices: generating sets of one lattice share one
