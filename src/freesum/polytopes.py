@@ -9,9 +9,10 @@ polar dual.  ``from_points`` keeps the scan for the vertices it returns,
 and ``translate`` and ``dilate`` move it with the polytope.
 Lattice points of a dilate are enumerated in integer coordinates of its
 affine lattice (``_slice_frame``), on plain ints, with no candidate that
-fails a facet and, by Fourier-Motzkin bounds, no prefix empty over the
-reals; for P containing the origin it can tag each point with its least
-dilation, as an integer (``tagged_lattice_points``).
+fails a facet and, by the facet scan of each coordinate projection of
+its vertices, no prefix empty over the reals; for P containing the origin
+it can tag each point with its least dilation, as an integer
+(``tagged_lattice_points``).
 """
 
 from __future__ import annotations
@@ -289,49 +290,25 @@ class _SliceFrame:
     """Integer coordinates adapted to the slices of the cone over P.
 
     With A the span rows of ``cone_hrep(p)`` and U unimodular such that
-    ``A U = [L | 0]``, L lower triangular, y = U x splits x into r fixed
+    ``A U = [L | 0]``, L lower triangular, x = U y splits x into r fixed
     coordinates, solved from ``L x = -a0 * lam`` on the slice at height lam,
     and k free ones z.  ``columns`` are the columns of U; each facet row h
-    becomes ``(h U[:, :r], h U[:, r:], h0)``.  The rows on z are the facets,
-    then the Fourier-Motzkin rows (``derived``: facet multipliers, gcd);
-    ``steps[j]`` holds their z_j coefficients, and ``bounds[j]`` the indices
-    and |coefficients| of those whose last nonzero one, on z_j, is positive,
-    then negative.
+    becomes ``(h U[:, :r], h U[:, r:], h0)``.  ``projections`` are the rows
+    (c, c0), c . z + c0 <= 0, of the facet scan of the vertices' z projected
+    on (z_0, ..., z_j), j < k - 1, whose last nonzero entry is on z_j.  The
+    rows on z are the facets, then the projections; ``steps[j]`` holds their
+    z_j coefficients, and ``bounds[j]`` the indices and |coefficients| of the
+    rows of level j (the projections on z_0..z_j, the facets for j = k - 1)
+    whose z_j coefficient is positive, then negative.
     """
 
     lower: tuple[Vector, ...]
     span_consts: tuple[int, ...]
     columns: tuple[Vector, ...]
     facets: tuple[tuple[Vector, Vector, int], ...]
-    derived: tuple[tuple[Vector, int], ...]
+    projections: tuple[tuple[Vector, int], ...]
     steps: tuple[Vector, ...]
     bounds: tuple
-    z0: tuple[Fraction, Fraction]
-
-
-def _last_nonzero(v) -> int:
-    return max((i for i, a in enumerate(v) if a), default=-1)
-
-
-def _projected_rows(rows: list[Vector], k: int) -> list[tuple[Vector, Vector]]:
-    """Fourier-Motzkin elimination of z_{k-1}, ..., z_2 from g . z <= b
-    (Schrijver, Theory of Linear and Integer Programming, 12.2): the new rows
-    (c, mu), c = sum mu_i g_i made primitive, whose last nonzero coefficient
-    is on z_1..z_{k-2}; with the facets they cut out each projection of the
-    slice.  After s eliminations a row combining more than s + 1 facets is
-    redundant (Chernikov's rule) and is dropped."""
-    system = [(g, tuple(int(i == j) for j in range(len(rows)))) for i, g in enumerate(rows)]
-    out = []
-    for j in range(k - 1, 1, -1):
-        above, below = ([row for row in system if s * row[0][j] > 0] for s in (1, -1))
-        system = [row for row in system if not row[0][j]]
-        for (gp, mp), (gn, mn) in itertools.product(above, below):
-            mu = tuple(-gn[j] * x + gp[j] * y for x, y in zip(mp, mn))
-            if len(mu) - mu.count(0) <= k - j + 1:
-                row = primitive_vector(tuple(-gn[j] * x + gp[j] * y for x, y in zip(gp, gn)) + mu)
-                system.append((row[:k], row[k:]))
-                out.append(system[-1])
-    return [row for row in out if _last_nonzero(row[0]) > 0]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -345,41 +322,49 @@ def _slice_frame(p: RationalPolytope) -> _SliceFrame:
         columns = u.entries
         lower = tuple(tuple(h.entries[j][i] for j in range(i + 1)) for i in range(r))
         # The Hermite form of the unimodular u is the identity, so its
-        # transform is u^-1; x = U^-1 v, and U^-1 is the transpose of u^-1.
+        # transform is u^-1, the transpose of U^-1; z is rows r.. of U^-1 x.
         _, inverse = _hnf_rows(columns, n)
-        first = [sum(inverse[j][r] * v[j] for j in range(n)) for v in p.vertices] if r < n else [0]
+        free = list(zip(*inverse))[r:]
+        zs = [tuple(sum(map(operator.mul, row, v)) for row in free) for v in p.vertices]
     else:
         columns = IntMatrix.identity(n).entries
         lower = ()
-        first = [v[0] if n else 0 for v in p.vertices]
+        zs = p.vertices
+    # P in z is full-dimensional, and its projection on z_0..z_j is the hull
+    # of the projected vertices.
+    k = n - r
     facets = []
     for row in hrep.facet_rows:
         pulled = tuple(sum(a * b for a, b in zip(row, col)) for col in columns)
         facets.append((pulled[:r], pulled[r:], row[n]))
-    k, rows = n - r, [g for _, g, _ in facets]
-    derived = _projected_rows(rows, k)
-    gcds = [math.gcd(*c) for c, _ in derived]
-    rows += [tuple(a // d for a in c) for (c, _), d in zip(derived, gcds)]
-    picks = [[(i, g[j]) for i, g in enumerate(rows) if _last_nonzero(g) == j] for j in range(k)]
+    rows = [g for _, g, _ in facets]
+    picks = [[] for _ in range(k)]
+    if k:
+        picks[-1] = [(i, g[-1]) for i, g in enumerate(rows) if g[-1]]
+    projections = []
+    for j in range(k - 1):
+        for c in _facet_scan(tuple(sorted({z[: j + 1] for z in zs})))[2]:
+            if c[j]:
+                picks[j].append((len(rows), c[j]))
+                rows.append(c[:-1] + (0,) * (k - 1 - j))
+                projections.append((rows[-1], c[-1]))
     bounds = tuple(
         tuple(tuple(zip(*[(i, abs(a)) for i, a in pick if s * a > 0])) for s in (1, -1))
         for pick in picks
     )
     steps = tuple(tuple(row[j] for row in rows) for j in range(k - 1))
-    derived = tuple((mu, d) for (_, mu), d in zip(derived, gcds))
     consts = tuple(row[n] for row in hrep.span_rows)
-    z0 = (min(first), max(first))  # the exact projection of P on z_0
-    return _SliceFrame(lower, consts, columns, tuple(facets), derived, steps, bounds, z0)
+    return _SliceFrame(lower, consts, columns, tuple(facets), tuple(projections), steps, bounds)
 
 
 def _walk(p: RationalPolytope, num: int, q: int, den: int = 0) -> tuple:
     """Integer points of (num/q)*P in lex order, by project and lift in the
-    coordinates of ``_slice_frame``: the fixed ones by exact division, z_0
-    over the vertex range, each later z_j over the interval its bounding
-    rows leave after the prefix.  With ``den`` > 0 (q = 1, the origin in P,
-    den a multiple of each facet constant c0_F) a point y comes as (y, den *
-    lambda(y)): a facet's remainder at height num is its slack s_F, and den
-    * lambda(y) = max over c0_F > 0 of den/c0_F * (num*c0_F - s_F)."""
+    coordinates of ``_slice_frame``: the fixed ones by exact division, each
+    z_j over the interval its level's rows leave after the prefix.  With
+    ``den`` > 0 (q = 1, the origin in P, den a multiple of each facet
+    constant c0_F) a point y comes as (y, den * lambda(y)): a facet's
+    remainder at height num is its slack s_F, and den * lambda(y) = max over
+    c0_F > 0 of den/c0_F * (num*c0_F - s_F)."""
     frame = _slice_frame(p)
     # Forward substitution in L (q x) = -a0 * num; a remainder means the
     # slice's affine hull holds no lattice point.
@@ -392,7 +377,7 @@ def _walk(p: RationalPolytope, num: int, q: int, den: int = 0) -> tuple:
         fixed.append(rest // pivot)
     # Rows on z: g . z <= b, b floored because g . z is an integer.
     rhs = [(-h0 * num) // q - sum(a * x for a, x in zip(f, fixed)) for f, _, h0 in frame.facets]
-    rhs += [sum(m * b for m, b in zip(mu, rhs)) // d for mu, d in frame.derived]
+    rhs += [(-c0 * num) // q for _, c0 in frame.projections]
     r, k, hd = len(fixed), p.dim - len(fixed), num * den
     # The tag lines on the last coordinate, one per slope: (facets, den/c0_F).
     slopes: dict[int, list[tuple[int, int]]] = {}
@@ -408,12 +393,9 @@ def _walk(p: RationalPolytope, num: int, q: int, den: int = 0) -> tuple:
     while stack:
         prefix, rems = stack.pop()
         j = len(prefix)
-        if j or k == 1:
-            (up, up_c), (down, down_c) = frame.bounds[j]
-            bot = -min(map(operator.floordiv, map(rems.__getitem__, down), down_c))
-            zs = range(bot, min(map(operator.floordiv, map(rems.__getitem__, up), up_c)) + 1)
-        else:
-            zs = range(math.ceil(num * frame.z0[0] / q), math.floor(num * frame.z0[1] / q) + 1)
+        (up, up_c), (down, down_c) = frame.bounds[j]
+        bot = -min(map(operator.floordiv, map(rems.__getitem__, down), down_c))
+        zs = range(bot, min(map(operator.floordiv, map(rems.__getitem__, up), up_c)) + 1)
         if j < k - 1:
             step = frame.steps[j]
             stack.extend((prefix + (z,), [c - a * z for c, a in zip(rems, step)]) for z in zs[::-1])

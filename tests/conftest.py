@@ -276,7 +276,8 @@ def oracle_lattice_points(p: RationalPolytope, factor) -> tuple:
 def _basis_solvers(generators) -> list:
     """The per-cone work of conic Caratheodory, done once: the span rank d of
     the nonzero generators, and for each independent d-subset the inverse of
-    d independent rows of its columns."""
+    d independent rows of its columns, as an integer matrix over a positive
+    common denominator."""
     gens = [g for g in map(qvec, generators) if any(g)]
     d = rational_rank(gens)
     solvers = []
@@ -288,20 +289,27 @@ def _basis_solvers(generators) -> list:
         for i in range(len(cols)):
             if rational_rank([cols[r] for r in rows + [i]]) > len(rows):
                 rows.append(i)
-        solvers.append((subset, rows, invert_rational([cols[r] for r in rows])))
+        inverse = invert_rational([cols[r] for r in rows])
+        scale = math.lcm(*(x.denominator for row in inverse for x in row))
+        scaled = [[int(x * scale) for x in row] for row in inverse]
+        solvers.append((subset, rows, scaled, scale))
     return solvers
 
 
 def _nonnegative_coefficients(solver, point):
     """The point's coefficients on the solver's subset, or None unless they
     are nonnegative and reproduce it (a point off the span is reproduced by
-    none)."""
-    subset, rows, inverse = solver
-    coeffs = [sum(a * point[r] for a, r in zip(row, rows)) for row in inverse]
-    if any(c < 0 for c in coeffs):
-        return None
-    if all(sum(c * g[i] for c, g in zip(coeffs, subset)) == x for i, x in enumerate(point)):
-        return coeffs
+    none).  They are found scaled by the solver's denominator, one at a
+    time, so a negative one ends the test."""
+    subset, rows, inverse, scale = solver
+    coeffs = []
+    for row in inverse:
+        c = sum(a * point[r] for a, r in zip(row, rows))
+        if c < 0:
+            return None
+        coeffs.append(c)
+    if all(sum(c * g[i] for c, g in zip(coeffs, subset)) == scale * x for i, x in enumerate(point)):
+        return [Fraction(c) / scale for c in coeffs]
     return None
 
 
@@ -309,11 +317,12 @@ def pos_hull_membership(generators):
     """Membership test for the cone of nonnegative combinations of the
     generators, the same conic Caratheodory decision as ``in_pos_hull``: a
     point is in the cone iff some independent subset carries it with
-    nonnegative coefficients."""
-    solvers = _basis_solvers(generators)
+    nonnegative coefficients.  Scaling a generator or the point by a
+    positive number keeps the answer, so both are made integral first."""
+    solvers = _basis_solvers(map(clear_denominators, generators))
 
     def member(point) -> bool:
-        point = qvec(point)
+        point = clear_denominators(point)
         if not any(point):
             return True
         return any(_nonnegative_coefficients(s, point) is not None for s in solvers)

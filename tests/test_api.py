@@ -133,6 +133,29 @@ def test_package_modules_use_every_name_they_import():
     assert unused == []
 
 
+def test_package_loads_every_private_module_level_name():
+    """Every private function, class or constant a module of ``src/freesum``
+    defines at module level is loaded somewhere in the package, by name or
+    as an attribute: a helper whose last caller went is deleted with it."""
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(freesum.__file__).parent.glob("*.py"))]
+    loaded = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - loaded) == []
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     """Every CLI verb is a fresh process, so import cost is paid per call:
     the records must not bring back ``dataclasses`` and ``inspect``."""

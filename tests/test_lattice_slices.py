@@ -9,9 +9,9 @@ is capped so that the oracle's box stays small.
 The tagged walk of H*P, for P containing the origin in dimensions 1-4, is
 checked the same way, each tag against ``_least_dilation``, and the series
 built from it against the per-height oracle.  The walk's prefix bounds, the
-vertex range of the first coordinate and the Fourier-Motzkin rows, are
-checked to cut out each coordinate projection of P, against the convex
-hull of the projected vertices.
+facet rows of each coordinate projection of the vertices, are checked to
+be facets of that projection and to cut it out, against the convex hull of
+the projected vertices.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from freesum import RationalPolytope, cone_over, sigma_cone
+from freesum.linalg import rational_rank
 from freesum.polytopes import (
     _slice_frame,
     cone_hrep,
@@ -74,6 +75,10 @@ def slices(draw):
     while top < 4 * den and box_size(p, Fraction(top + 1, den)) <= BOX_CAP:
         top += 1
     return p, Fraction(draw(st.integers(0, top)), den)
+
+
+def cross(n: int) -> RationalPolytope:
+    return poly(n, *[tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)])
 
 
 skew_segment = poly(3, (0, 0, 0), (5, 5, 5))
@@ -139,6 +144,7 @@ def tagged_cases(draw):
 @example((poly(4, (0, 0, 0, 0), (2, 1, 0, 0), (0, 1, 1, 0), (-1, 0, 1, 1), (1, -1, 0, 1)), 2))
 @example((poly(3, (-1, 1, -1), (2, -2, 2)), 3))
 @example((poly(2, (0, 0)), 4))
+@example((cross(5), 2))
 def test_tags_are_least_dilations(case):
     """Every point of the tagged walk comes with den * lambda(y), and the
     points are the box scan's; the series read off the tags is the one
@@ -169,34 +175,51 @@ def solids(draw):
     return p, probes
 
 
+cyclic5 = poly(5, *[tuple(t**e for e in range(1, 6)) for t in range(8)])
+
+
+def around(p: RationalPolytope) -> list:
+    """Probes of P: its vertices, the midpoints of every two of them, and
+    each vertex pushed away from the centroid, 2v - c, which is outside P."""
+    vs = p.vertices
+    c = tuple(sum(x) / len(vs) for x in zip(*vs))
+    probes = list(vs) + [tuple((a + b) / 2 for a, b in zip(u, v)) for i, u in enumerate(vs) for v in vs[i + 1 :]]
+    return probes + [tuple(2 * a - b for a, b in zip(v, c)) for v in vs]
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(solids())
 @example((poly(3, (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
           [(F(1, 2), F(1, 2), 0), (F(1, 2), F(2, 3), 0), (F(-1, 3), F(-2, 3), F(1, 2))]))
+@example((cross(4), around(cross(4)) + [(F(1, 3), F(1, 3), F(1, 3), 0), (F(1, 2), F(1, 3), F(1, 4), 0)]))
+@example((cyclic5, around(cyclic5)))
 def test_prefix_bounds_cut_out_the_projections(case):
-    """A prefix (z_0, ..., z_j) passes the walk's bounds at level j iff it is
-    the projection of a point of P: z_0 in the vertices' range, and every
-    facet row and Fourier-Motzkin row whose last nonzero coefficient is on
-    z_1..z_j holds, each derived row taken at its exact right-hand side."""
+    """For P full-dimensional z = x.  Each projection row of level j is a
+    facet of the projection of P on z_0..z_j: its last nonzero coefficient
+    is on z_j, every projected vertex satisfies it, and it is tight at j + 1
+    affinely independent ones.  A prefix (z_0, ..., z_j) passes the rows of
+    levels 0..j, each at its exact right-hand side, iff it is the
+    projection of a point of P."""
     p, probes = case
-    n = p.dim
     frame = _slice_frame(p)
-    gs = [g for _, g, _ in frame.facets]
-    bs = [-h0 for _, _, h0 in frame.facets]
-    derived = [
-        (tuple(sum(m * g[i] for m, g in zip(mu, gs)) for i in range(n)), sum(m * b for m, b in zip(mu, bs)))
-        for mu, _ in frame.derived
-    ]
 
-    def last(g):
-        return max((i for i, a in enumerate(g) if a), default=-1)
+    def last(c):
+        return max((i for i, a in enumerate(c) if a), default=-1)
 
-    for j in range(1, n - 1):
-        rows = [(g, b) for g, b in list(zip(gs, bs)) + derived if 1 <= last(g) <= j]
-        member = pos_hull_membership([v[: j + 1] + (1,) for v in p.vertices])
+    def value(c, c0, z):
+        return sum(a * x for a, x in zip(c, z)) + c0
+
+    for j in range(p.dim - 1):
+        projected = sorted({v[: j + 1] for v in p.vertices})
+        rows = [(c[: j + 1], c0) for c, c0 in frame.projections if last(c) <= j]
+        level = [(c, c0) for c, c0 in rows if last(c) == j]
+        assert level, j
+        for c, c0 in level:
+            assert max(value(c, c0, v) for v in projected) == 0, (j, c, c0)
+            tight = [v for v in projected if value(c, c0, v) == 0]
+            assert rational_rank([[a - b for a, b in zip(v, tight[0])] for v in tight]) == j, (j, c, c0)
+        member = pos_hull_membership([v + (1,) for v in projected])
         for probe in probes:
             prefix = probe[: j + 1]
-            passes = frame.z0[0] <= prefix[0] <= frame.z0[1] and all(
-                sum(a * x for a, x in zip(g, prefix)) <= b for g, b in rows
-            )
+            passes = all(value(c, c0, prefix) <= 0 for c, c0 in rows)
             assert passes == member(prefix + (1,)), (j, prefix)
