@@ -233,14 +233,14 @@ def _facet_scan(points: tuple[QVector, ...]):
         normal = _cofactors([[a - b for a, b in zip(x, x0)] for x in subset[1:]])
         if not any(normal):
             continue
-        sides = [sum(a * b for a, b in zip(normal, x)) for x in coords]
-        level = sum(a * b for a, b in zip(normal, x0))
+        sides = [sum(map(operator.mul, normal, x)) for x in coords]
+        level = sum(map(operator.mul, normal, x0))
         if max(sides) == level:
             facets.add(primitive_vector(normal + (-level,)))
         elif min(sides) == level:
             facets.add(primitive_vector(tuple(-a for a in normal) + (level,)))
     is_vertex = tuple(
-        rational_rank([f[:-1] for f in facets if sum(a * b for a, b in zip(f, x)) == -f[-1]]) == d
+        rational_rank([f[:-1] for f in facets if sum(map(operator.mul, f, x)) == -f[-1]]) == d
         for x in coords
     )
     rows = []
