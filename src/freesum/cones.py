@@ -8,9 +8,10 @@ cone(P) with offset v = r*(x - s*p), a point of r*Lambda^p, are those at
 the heights s >= lambda'(v) in v's class mod r, lambda' the least dilation
 in r*(P - p).  One walk of the points of r*Lambda^p in H*r(P - p), in a
 basis of that lattice, tagged with den * lambda' (``tagged_lattice_points``),
-gives the class table (``_class_table``) that ``llenv_points`` and the split
-and Braun checks of ``freesums`` read; ``shifted_envelope_lattice_points``
-lists one layer of the walk at p = 0.
+gives the class table (``_class_table``) that ``llenv_points`` and the
+split, Braun and Gorenstein checks of ``freesums`` read, with the basis
+classes of ``lambda_p``; ``shifted_envelope_lattice_points`` lists one layer
+of the walk at p = 0.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .linalg import (
     LatticeBasis,
     QVector,
     Vector,
-    canonical_basis,
+    _hnf_rows,
     invert_rational,
     qvec,
 )
@@ -62,14 +63,6 @@ class ConeOverPolytope:
         if len(point) != self.ambient_dim:
             raise InputError("point dimension mismatch")
         return _cone_member(self.hrep, point)
-
-    def lattice_points_at_height(self, height) -> list[Vector]:
-        """Integer points of the cone slice at a rational height >= 0."""
-        height = Fraction(height)
-        if height < 0 or height.denominator != 1:
-            return []
-        t = (height.numerator,)
-        return [y + t for y in lattice_points_in_scaled(self.base, height)]
 
     def lattice_points_by_height(self, height_bound: int) -> list[tuple[Vector, range]]:
         """Pairs (y, heights): every integer y of some slice up to the bound,
@@ -146,28 +139,28 @@ def shifted_envelope_lattice_points(
 class LambdaP:
     """The refinement of Z^n generated by the standard basis and a point p.
 
-    Stored through the integer lattice r * Lambda^p, where r = den(p).
+    Stored through the integer lattice r * Lambda^p, where r = den(p), with
+    the class -c mod r of each basis row b = c*r*p (mod r) in ``classes``.
     """
 
     point: QVector
     r: int
     scaled_basis: LatticeBasis
+    classes: tuple[int, ...]
 
 
 def lambda_p(p) -> LambdaP:
-    """Lattice generated by the standard basis vectors together with p."""
+    """Lattice generated by the standard basis vectors together with p.  The
+    Hermite form of the rows r*e_j and r*p has the basis in its first n rows,
+    and its transform u makes row i sum_j u[i][j] * row_j = u[i][n]*r*p mod r,
+    of class -u[i][n] mod r (unique, as r*p has order r mod r)."""
     p = qvec(p)
     n = len(p)
     r = math.lcm(*(x.denominator for x in p)) if p else 1
-    rows = [tuple(r if i == j else 0 for j in range(n)) for i in range(n)]
-    rows.append(tuple(int(r * x) for x in p))
-    return LambdaP(p, r, canonical_basis(rows, n))
-
-
-def _classes(p: QVector, r: int) -> dict[Vector, int]:
-    """Each residue c*r*p mod r of r*Lambda^p mapped to its class -c mod r."""
-    rp = tuple(int(r * x) for x in p)
-    return {tuple(c * x % r for x in rp): -c % r for c in range(r)}
+    rows = [[r * (i == j) for j in range(n)] for i in range(n)] + [[int(r * x) for x in p]]
+    h, u = _hnf_rows(rows, n)
+    basis = LatticeBasis(n, tuple(map(tuple, h[:n])))
+    return LambdaP(p, r, basis, tuple(-row[n] % r for row in u[:n]))
 
 
 def _class_table(q: RationalPolytope, p: QVector, r: int, height_bound: int) -> tuple[int, list]:
@@ -183,8 +176,8 @@ def _class_table(q: RationalPolytope, p: QVector, r: int, height_bound: int) -> 
         q = q.translate(tuple(-x for x in p)) if any(p) else q
         den, tagged = tagged_lattice_points(q, height_bound)
         return den, [(v, m, -(-m // den)) for v, m in tagged]
-    basis, classes = lambda_p(p).scaled_basis.vectors, _classes(p, r)
-    sigmas = [classes[tuple(x % r for x in b)] for b in basis]
+    refinement = lambda_p(p)
+    basis, sigmas = refinement.scaled_basis.vectors, refinement.classes
     inverse = tuple(zip(*invert_rational(basis)))
     shifted = [[r * (a - c) for a, c in zip(w, p)] for w in q.vertices]
     image = tuple(tuple(sum(map(operator.mul, w, col)) for col in inverse) for w in shifted)

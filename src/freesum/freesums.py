@@ -13,13 +13,14 @@ functions coefficient by coefficient.  Both sides are read off one table of
 pairs of tagged lattice points: for an affine free sum through p, the points
 v of H*r(J - p) in r*Lambda^p, each in the class sigma(v) mod r of the
 heights s at which v/r + s*p is integral, and those of H*r(K - p) (for a
-free sum, p = 0 and r = 1, the points of H*J and H*K).
-These are the class tables of ``cones``, which owns r*Lambda^p.
-``check_braun_multivariate`` reads the residual off the pairs for both
-kinds.  The split check (``_split_check``) compares each pair's low with the
-least height of its offset in the hull's own class table at p:
-``decomposition_check`` reports it at any p, and ``decompose_sigma``, its
-p = 0 form, raises on a mismatch.
+free sum, p = 0 and r = 1, the points of H*J and H*K), the class tables
+of ``cones``, which owns r*Lambda^p.  ``check_braun_multivariate`` reads the
+residual off the pairs for both kinds.  The split check (``_split_check``)
+compares each pair's low with the least height of its offset in the hull's
+own class table at p: ``decomposition_check`` reports it at any p, and
+``decompose_sigma``, its p = 0 form, raises on a mismatch.
+``gorenstein_affine_check`` reads the interior identity of a Gorenstein
+summand off its class table at the center.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .linalg import (
 )
 from .polytopes import (
     RationalPolytope,
-    _cone_member,
     cone_hrep,
     denominator,
     direction_basis,
@@ -388,11 +388,17 @@ def converse_search(
 def gorenstein_affine_check(
     p: RationalPolytope, k: RationalPolytope, height_bound: int
 ) -> BraunVerdict:
-    """Product formula at the canonical interior center of a Gorenstein summand.
+    """Product formula at the canonical interior center c of a Gorenstein summand.
 
-    Also re-verifies, point by point up to the height bound, that the
-    interior lattice points of cone(P) are exactly the lattice points of the
-    cone translated by index * alpha(center).
+    Also re-verifies up to the height bound that the interior of cone(P) is
+    cone(P) + (r*c, r), r the index, on P's class table at c, which the Braun
+    check walks too.  A lattice point (x, s) = (s*c + v/r, s) of cone(P) has
+    s = least(v), least + r, ..., where least - r < lambda'(v) <= least.  As
+    c is interior, (x, s) is interior iff lambda'(v) < s, and in the
+    translate iff lambda'(v) <= s - r: the two differ only at s = least, when
+    lambda'(v) < least, that is when the tag is not den * least.  It raises
+    at the least (least, v) over those v, which is the least (least, x), as x
+    = least*c + v/r: the point a walk by height and then lex order meets first.
     """
     data = gorenstein_data(p)
     if data is None:
@@ -405,16 +411,13 @@ def gorenstein_affine_check(
         )
     if witness.r != data.index:
         raise InternalCheckError("Gorenstein index differs from the center denominator")
-    cone_p = cone_over(p)
-    shift = data.interior_point + (data.index,)
-    for t in range(height_bound + 1):
-        for pt in cone_p.lattice_points_at_height(t):
-            interior = _cone_member(cone_p.hrep, pt, strict=True)
-            translated = _cone_member(cone_p.hrep, tuple(a - b for a, b in zip(pt, shift)))
-            if interior != translated:
-                raise InternalCheckError(
-                    f"interior identity fails at {pt} for the Gorenstein summand"
-                )
+    r, rc = witness.r, witness.factor_exponent[:-1]
+    den, table = _class_table(p, witness.intersection_point, r, height_bound)
+    faults = [(least, v) for v, m, least in table if m < den * least and least <= height_bound]
+    if faults:
+        least, v = min(faults)
+        point = tuple((least * c + a) // r for c, a in zip(rc, v)) + (least,)
+        raise InternalCheckError(f"interior identity fails at {point} for the Gorenstein summand")
     return check_braun_multivariate(witness, height_bound)
 
 

@@ -19,6 +19,7 @@ from freesum import RationalPolytope, TruncatedSeries, UnivariateSeries, cone_ov
 from freesum.corpus import CorpusPair
 from freesum.errors import InputError, PreconditionError
 from freesum.jsonio import format_point, parse_polytope
+from freesum.polytopes import _cone_member, lattice_points_in_dilate
 from freesum.linalg import (
     LatticeBasis,
     canonical_basis,
@@ -145,6 +146,27 @@ def lambda_p_basis_vectors(lam) -> tuple:
     return tuple(tuple(Fraction(x, lam.r) for x in row) for row in lam.scaled_basis.vectors)
 
 
+def cone_slice(cone, t: int) -> list:
+    """The lattice points (y, t) of the cone at the integer height t >= 0."""
+    return [y + (t,) for y in lattice_points_in_dilate(cone.base, t)]
+
+
+def interior_identity_by_heights(p: RationalPolytope, shift, height_bound: int):
+    """The first lattice point of cone(P) up to the bound, by height and then
+    in lex order, that lies in the relative interior of the cone but not in
+    its translate by ``shift``, or the other way round; None if there is
+    none.  Each slice is walked on its own and each point gets both
+    membership tests: the oracle of the Gorenstein check's interior identity."""
+    cone = cone_over(p)
+    for t in range(height_bound + 1):
+        for pt in cone_slice(cone, t):
+            interior = _cone_member(cone.hrep, pt, strict=True)
+            translated = _cone_member(cone.hrep, tuple(a - b for a, b in zip(pt, shift)))
+            if interior != translated:
+                return pt
+    return None
+
+
 def rind_contains(p: RationalPolytope, x) -> bool:
     """Membership in cone(P) minus its translate by the last basis vector."""
     cone = cone_over(p)
@@ -202,7 +224,7 @@ def llenv_points_by_fractions(cone, p, height_bound: int) -> list:
     rows = [(h, _dot(h, ap_int)) for h in cone.hrep.facet_rows if _dot(h, ap_int) < 0]
     seen = {}
     for t in range(height_bound + 1):
-        for pt in cone.lattice_points_at_height(t):
+        for pt in cone_slice(cone, t):
             lam = min(Fraction(scale * _dot(h, pt), d) for h, d in rows)
             proj = tuple(a - lam * b for a, b in zip(map(Fraction, pt), ap))
             if proj not in seen:
@@ -246,7 +268,7 @@ def sigma_cone_by_heights(cone, height_bound: int) -> TruncatedSeries:
     enumerated on its own: the oracle for the first-height maps."""
     terms = {}
     for t in range(height_bound + 1):
-        for pt in cone.lattice_points_at_height(t):
+        for pt in cone_slice(cone, t):
             terms[pt] = 1
     return TruncatedSeries(cone.ambient_dim, height_bound, terms)
 

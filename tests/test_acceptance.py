@@ -38,6 +38,7 @@ from conftest import (
     F,
     apply_one_minus_monomial,
     axis_seg,
+    cone_slice,
     corpus_pairs,
     diamond,
     epsilon_project,
@@ -132,7 +133,7 @@ def test_criterion_3_wide_interval_envelopes():
     rind = [
         pt
         for t in range(bound + 1)
-        for pt in cone.lattice_points_at_height(t)
+        for pt in cone_slice(cone, t)
         if rind_contains(seg, pt)
     ]
     layered = [set(v) for v in strata.values()]
@@ -303,7 +304,7 @@ def _check_idempotence(p: RationalPolytope, rng: random.Random) -> None:
     cone = cone_over(p)
     generators = [v + (F(1),) for v in p.vertices]
     direction = (F(0),) * p.dim
-    samples = [pt for t in range(3) for pt in cone.lattice_points_at_height(t)]
+    samples = [pt for t in range(3) for pt in cone_slice(cone, t)]
     for _ in range(5):
         weights = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in generators]
         mixed = tuple(

@@ -156,6 +156,37 @@ def test_package_loads_every_private_module_level_name():
     assert sorted(private - loaded) == []
 
 
+# Public methods that no module of the package loads, and why each stays.
+UNUSED_METHODS = (
+    "TruncatedSeries.coefficient",  # public lookup the tests use; the package reads terms
+    "UnivariateSeries.coefficient",  # public lookup the tests use; the package reads coefficients
+)
+
+
+def test_package_loads_every_public_method():
+    """Every public method or property of a class defined at module level in
+    ``src/freesum`` is loaded as an attribute somewhere in the package, apart
+    from ``UNUSED_METHODS``: a method whose last caller went is deleted with
+    it, or listed there with its reason."""
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(freesum.__file__).parent.glob("*.py"))]
+    loaded = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    methods = {
+        f"{cls.name}.{node.name}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    unused = sorted(name for name in methods if name.split(".")[1] not in loaded)
+    assert unused == sorted(UNUSED_METHODS)
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     """Every CLI verb is a fresh process, so import cost is paid per call:
     the records must not bring back ``dataclasses`` and ``inspect``."""

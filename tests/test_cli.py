@@ -254,6 +254,25 @@ def test_cli_check_point_mismatch(tmp_path):
         assert json.loads(err)["error"] == "bad-point-flag"
 
 
+def test_cli_text_format(tmp_path):
+    """``--format text`` prints the report as sorted ``key: value`` lines, and
+    an input error as the same lines on stderr, with exit 2."""
+    path = write_polytope(tmp_path, "wide.json", segment(-2, 3))
+    status, out, err = run_cli(["--format", "text", "dual", "--in", path])
+    assert (status, err) == (0, "")
+    assert out == (
+        "dual_denominator: 6\n"
+        "lattice_polyhedron: False\n"
+        "ray_functionals: []\n"
+        "vertex_functionals: [['-1/2'], ['1/3']]\n"
+    )
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 2, "vertices": [["0"]]}')
+    status, out, err = run_cli(["--format", "text", "dual", "--in", str(bad)])
+    assert (status, out) == (2, "")
+    assert err == "detail: vertex length disagrees with the declared dimension\nerror: input-error\n"
+
+
 def test_cli_output_byte_stable(tmp_path):
     path = write_polytope(tmp_path, "diamond.json", diamond())
     first = run_cli(["sigma", "--in", path, "--height", "4"])

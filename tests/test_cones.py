@@ -20,7 +20,7 @@ from freesum import (
     shifted_envelope_nonempty,
 )
 import freesum.cones
-from freesum.cones import _class_table, _classes
+from freesum.cones import _class_table
 from freesum.errors import InputError, PreconditionError
 from freesum.linalg import in_pos_hull, qvec
 from freesum.polytopes import cone_hrep
@@ -28,6 +28,7 @@ from freesum.polytopes import cone_hrep
 from conftest import (
     F,
     _least_dilation,
+    cone_slice,
     diamond,
     epsilon_project,
     lambda_p_basis_vectors,
@@ -216,7 +217,7 @@ def test_rind_partition_matches_strata():
     strata = [set(shifted_envelope_lattice_points(seg, i, 8)) for i in range(6)]
     rind = set()
     for t in range(9):
-        for pt in cone.lattice_points_at_height(t):
+        for pt in cone_slice(cone, t):
             if rind_contains(seg, pt):
                 rind.add(pt)
     assert set().union(*strata) == rind
@@ -267,12 +268,29 @@ def test_lattice_dual_iff_envelope_projections_integral():
 
 
 def in_lambda_p(lam, v) -> bool:
-    """Membership in Lambda^p through the residue map ``_classes``: r*v is
-    integral and its residue mod r is that of some c*r*p."""
+    """Membership in Lambda^p through residues: r*v is integral and its
+    residue mod r is that of some c*r*p."""
     w = tuple(lam.r * x for x in qvec(v))
     if any(x.denominator != 1 for x in w):
         return False
-    return tuple(int(x) % lam.r for x in w) in _classes(lam.point, lam.r)
+    rp = tuple(int(lam.r * x) for x in lam.point)
+    residues = {tuple(c * x % lam.r for x in rp) for c in range(lam.r)}
+    return tuple(int(x) % lam.r for x in w) in residues
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(F, st.integers(-40, 40), st.integers(1, 12)), min_size=1, max_size=4))
+@example([F(1, 12), F(5, 6), F(-7, 4), F(2, 3)])
+def test_lambda_p_classes_match_the_residues(p):
+    """Each basis row b of r*Lambda^p is c*r*p mod r for one c mod r, and
+    ``classes`` holds -c mod r, read here off the residues of the multiples
+    of r*p."""
+    lam = lambda_p(p)
+    r = lam.r
+    rp = tuple(int(r * x) for x in lam.point)
+    classes = {tuple(c * x % r for x in rp): -c % r for c in range(r)}
+    assert len(classes) == r
+    assert lam.classes == tuple(classes[tuple(x % r for x in b)] for b in lam.scaled_basis.vectors)
 
 
 def test_lambda_p_half():

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
 import freesum.cones
+import freesum.freesums
 from freesum import (
     AFFINE_FREE_SUM,
     FREE_SUM,
+    GorensteinData,
     RationalPolytope,
     check_braun_multivariate,
     check_braun_univariate,
@@ -28,7 +32,7 @@ from freesum import (
 from freesum.cones import _class_table
 from freesum.errors import ClassificationError, InternalCheckError, PreconditionError
 from freesum.linalg import qvec, rational_rank
-from freesum.polytopes import tagged_lattice_points
+from freesum.polytopes import interior_lattice_points_in_dilate, tagged_lattice_points
 from freesum.series import series_mul
 
 from conftest import (
@@ -37,11 +41,13 @@ from conftest import (
     apply_one_minus_monomial,
     axis_seg,
     break_split,
+    cone_slice,
     corpus_pairs,
     diamond,
     epsilon_project,
     first_difference,
     height_map_series,
+    interior_identity_by_heights,
     lattice_basis_of_span,
     oracle_lattice_points,
     poly,
@@ -519,6 +525,67 @@ def test_gorenstein_affine_triangle():
     assert verdict.factor_exponent == (1, 1, 0, 3)
 
 
+def test_gorenstein_interior_identity_failure_names_its_first_point(monkeypatch):
+    """Given the false data "index 1, center 0" for J = [-1, 2] x {0}, the
+    point (1, 0, 1) is interior to cone(J), but (1, 0, 0) is not in the cone.
+    It is the first failing point, by height and then lex order; at H = 0
+    the cone holds only the origin, and the identity holds."""
+    j, k = poly(2, (-1, 0), (2, 0)), poly(2, (0, -1), (0, 1))
+    data = GorensteinData(1, (0, 0), (0, 0))
+    monkeypatch.setattr(freesum.freesums, "gorenstein_data", lambda p: data)
+    with pytest.raises(InternalCheckError, match=r"interior identity fails at \(1, 0, 1\) "):
+        gorenstein_affine_check(j, k, 4)
+    assert gorenstein_affine_check(j, k, 0).holds_up_to_bound
+
+
+@st.composite
+def centered_lattice_polytopes(draw):
+    """A lattice polytope P of dimension 1 to 3 in R^n, n <= 3, so flats in
+    R^3 occur, with a point c of denominator at most 3 in its relative
+    interior: c = y/s for an interior lattice point y of s*P, s <= 3."""
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(2, 5))
+    points = [tuple(draw(st.integers(-2, 2)) for _ in range(n)) for _ in range(count)]
+    p = poly(n, *points)
+    assume(p.affine_dim >= 1)
+    s = draw(st.integers(1, 3))
+    interior = interior_lattice_points_in_dilate(p, s)
+    assume(interior)
+    y = draw(st.sampled_from(interior))
+    return p, tuple(F(x, s) for x in y)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(centered_lattice_polytopes(), st.integers(0, 5))
+@example((poly(2, (-1, 0), (2, 0)), (F(0), F(0))), 4)
+@example((poly(2, (0, 0), (1, 0)), (F(1, 2), F(0))), 5)
+@example((poly(3, (0, 0, 0), (1, 0, 0), (0, 1, 0)), (F(1, 3), F(1, 3), F(0))), 5)
+@example((poly(1, (-2,), (-1,)), (F(-5, 3),)), 1)
+def test_gorenstein_interior_check_matches_the_per_height_loop(case, bound):
+    """The class-table reading of the interior identity at a center c of
+    denominator r, posed as Gorenstein data (r, r*c, c) with the point {c}
+    as second summand, against the per-height loop: the check holds iff the
+    loop finds no failing point, and otherwise names the loop's first one.
+    The examples hold (the unit segment and the triangle at their true
+    centers) and fail (J = [-1, 2] x {0} at 0).  [-2, -1] at -5/3 holds at
+    H = 1 but fails at height 2, past the bound."""
+    p, c = case
+    r = math.lcm(*(x.denominator for x in c))
+    data = GorensteinData(r, tuple(int(r * x) for x in c), c)
+    expected = interior_identity_by_heights(p, data.interior_point + (r,), bound)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(freesum.freesums, "gorenstein_data", lambda q: data)
+        if expected is None:
+            verdict = gorenstein_affine_check(p, poly(p.dim, c), bound)
+            assert verdict.factor_exponent == data.interior_point + (r,)
+        else:
+            with pytest.raises(InternalCheckError) as err:
+                gorenstein_affine_check(p, poly(p.dim, c), bound)
+            assert str(err.value) == (
+                f"interior identity fails at {expected} for the Gorenstein summand"
+            )
+
+
 def test_braun_specialization_commutes():
     from freesum import ehrhart_series
     from freesum.series import poly_mul
@@ -701,7 +768,7 @@ def test_decomposition_check_matches_bruteforce(case, bound):
     r = lambda_p(p).r
     candidates = set()
     for t in range(bound + r):
-        for pt in cone_j.lattice_points_at_height(t):
+        for pt in cone_slice(cone_j, t):
             candidates.add(epsilon_project(cone_j, pt, p))
     gens_k = [v + (F(1),) for v in k.vertices]
     in_cone_k = pos_hull_membership(gens_k)
@@ -727,7 +794,7 @@ def test_decomposition_check_matches_bruteforce(case, bound):
     counts = {}
     checked = 0
     for t in range(bound + 1):
-        for z in hull_cone.lattice_points_at_height(t):
+        for z in cone_slice(hull_cone, t):
             checked += 1
             zq = qvec(z)
             # cone(K) has no point of negative height, so a candidate above z
