@@ -19,7 +19,6 @@ from freesum import RationalPolytope, TruncatedSeries, UnivariateSeries, cone_ov
 from freesum.corpus import CorpusPair
 from freesum.errors import InputError, PreconditionError
 from freesum.jsonio import format_point, parse_polytope
-from freesum.polytopes import _cone_member, lattice_points_in_dilate
 from freesum.linalg import (
     LatticeBasis,
     canonical_basis,
@@ -31,6 +30,7 @@ from freesum.linalg import (
     qvec,
     rational_rank,
 )
+from freesum.polytopes import _cone_member, lattice_points_in_dilate
 
 
 CORPUS_FILE = Path(__file__).resolve().parent.parent / "corpus" / "standard.json"
@@ -154,8 +154,8 @@ def cone_slice(cone, t: int) -> list:
 def interior_identity_by_heights(p: RationalPolytope, shift, height_bound: int):
     """The first lattice point of cone(P) up to the bound, by height and then
     in lex order, that lies in the relative interior of the cone but not in
-    its translate by ``shift``, or the other way round; None if there is
-    none.  Each slice is walked on its own and each point gets both
+    its translate by ``shift``, or in the translate but not in the interior;
+    None if there is none.  Each slice is walked on its own and each point gets both
     membership tests: the oracle of the Gorenstein check's interior identity."""
     cone = cone_over(p)
     for t in range(height_bound + 1):

@@ -555,7 +555,7 @@ def centered_lattice_polytopes(draw):
     return p, tuple(F(x, s) for x in y)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(centered_lattice_polytopes(), st.integers(0, 5))
 @example((poly(2, (-1, 0), (2, 0)), (F(0), F(0))), 4)
 @example((poly(2, (0, 0), (1, 0)), (F(1, 2), F(0))), 5)
