@@ -8,6 +8,8 @@ status: 0 success, 1 verdict failure, 2 input or precondition error.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 from fractions import Fraction
 
@@ -267,16 +269,16 @@ def _emit(report: dict, fmt: str, stream) -> None:
 
 
 def main(argv=None) -> int:
+    # At exit, freeze the heap so that finalization's collections skip it.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         report, status = _RUNNERS[args.verb](args)
-    except InternalCheckError as exc:
-        _emit({"error": exc.code, "detail": str(exc)}, args.format, sys.stderr)
-        return 1
     except FreesumError as exc:
         _emit({"error": exc.code, "detail": str(exc)}, args.format, sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InternalCheckError) else 2
     _emit(report, args.format, sys.stdout)
     return status
 

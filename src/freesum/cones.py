@@ -16,6 +16,7 @@ of the walk at p = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -154,7 +155,11 @@ def lambda_p(p) -> LambdaP:
     Hermite form of the rows r*e_j and r*p has the basis in its first n rows,
     and its transform u makes row i sum_j u[i][j] * row_j = u[i][n]*r*p mod r,
     of class -u[i][n] mod r (unique, as r*p has order r mod r)."""
-    p = qvec(p)
+    return _lambda_p(qvec(p))
+
+
+@functools.lru_cache(maxsize=1024)
+def _lambda_p(p: QVector) -> LambdaP:
     n = len(p)
     r = math.lcm(*(x.denominator for x in p)) if p else 1
     rows = [[r * (i == j) for j in range(n)] for i in range(n)] + [[int(r * x) for x in p]]

@@ -204,14 +204,32 @@ def _cofactors(rows: list[list[int]]) -> tuple[int, ...]:
     )
 
 
+def _facet_rows(coords: list, scale: int) -> set:
+    """Facets of conv(coords) / scale, for integer coords full-dimensional in
+    their d entries, as primitive rows h, the hull {x : h . (x, 1) <= 0}:
+    each is spanned by d points, the cofactors of their differences its normal."""
+    facets, d = set(), len(coords[0])
+    for subset in itertools.combinations(coords, d) if d else ():
+        x0 = subset[0]
+        normal = _cofactors([[a - b for a, b in zip(x, x0)] for x in subset[1:]])
+        if not any(normal):
+            continue
+        sides = [sum(map(operator.mul, normal, x)) for x in coords]
+        level = sum(map(operator.mul, normal, x0))
+        if max(sides) == level:
+            facets.add(primitive_vector(tuple(scale * a for a in normal) + (-level,)))
+        elif min(sides) == level:
+            facets.add(primitive_vector(tuple(-scale * a for a in normal) + (level,)))
+    return facets
+
+
 def _facet_scan(points: tuple[QVector, ...]):
     """The uncached body of ``_affine_data``, on the points scaled by their
     common denominator, as ints.  Points of the affine hull are fixed by
     their pivot coordinates, so the hull is a full-dimensional polytope in
-    those d coordinates: each facet is spanned by d of the points, with the
-    cofactors of their differences as normal and every point on one side.
-    The equation of a free column c is the kernel vector a of the basis
-    with a_c = l, l the lcm of the pivot entries, which clears a_pivot(i) =
+    those d coordinates, with the facets of ``_facet_rows``.  The equation
+    of a free column c is the kernel vector a of the basis with a_c = l, l
+    the lcm of the pivot entries, which clears a_pivot(i) =
     -l * red[i][c] / red[i][pivot(i)], and the row (scale * a, -a . pts[0])."""
     scale = math.lcm(*(x.denominator for v in points for x in v))
     pts = [[x.numerator * (scale // x.denominator) for x in v] for v in points]
@@ -227,29 +245,13 @@ def _facet_scan(points: tuple[QVector, ...]):
         offset = -sum(map(operator.mul, a, pts[0]))
         equations.append(primitive_vector([scale * x for x in a] + [offset]))
     coords = [[v[c] for c in pivots] for v in pts]
-    facets = set()
-    for subset in itertools.combinations(coords, d) if d else ():
-        x0 = subset[0]
-        normal = _cofactors([[a - b for a, b in zip(x, x0)] for x in subset[1:]])
-        if not any(normal):
-            continue
-        sides = [sum(map(operator.mul, normal, x)) for x in coords]
-        level = sum(map(operator.mul, normal, x0))
-        if max(sides) == level:
-            facets.add(primitive_vector(normal + (-level,)))
-        elif min(sides) == level:
-            facets.add(primitive_vector(tuple(-a for a in normal) + (level,)))
+    facets = _facet_rows(coords, scale)
     is_vertex = tuple(
-        rational_rank([f[:-1] for f in facets if sum(map(operator.mul, f, x)) == -f[-1]]) == d
+        rational_rank([f[:-1] for f in facets if sum(map(operator.mul, f, (*x, scale))) == 0]) == d
         for x in coords
     )
-    rows = []
-    for f in facets:
-        row = [0] * n + [f[-1]]
-        for c, a in zip(pivots, f):
-            row[c] = scale * a
-        rows.append(primitive_vector(row))
-    return tuple(tuple(row) for row in red[:d]), is_vertex, tuple(sorted(rows)), tuple(equations)
+    rows = sorted((*(dict(zip(pivots, f)).get(c, 0) for c in range(n)), f[-1]) for f in facets)
+    return tuple(tuple(row) for row in red[:d]), is_vertex, tuple(rows), tuple(equations)
 
 
 def direction_basis(p: RationalPolytope) -> tuple[Vector, ...]:
@@ -316,6 +318,8 @@ def _slice_frame(p: RationalPolytope) -> _SliceFrame:
     hrep = cone_hrep(p)
     n = p.dim
     r = len(hrep.span_rows)
+    scale = denominator(p)
+    zs = [tuple(x.numerator * (scale // x.denominator) for x in v) for v in p.vertices]
     if r:
         # Row HNF of A^T: h = u A^T, so A u^T = h^T and U = u^T.
         h, u = hnf(IntMatrix.from_rows(list(zip(*(row[:n] for row in hrep.span_rows)))))
@@ -325,13 +329,12 @@ def _slice_frame(p: RationalPolytope) -> _SliceFrame:
         # transform is u^-1, the transpose of U^-1; z is rows r.. of U^-1 x.
         _, inverse = _hnf_rows(columns, n)
         free = list(zip(*inverse))[r:]
-        zs = [tuple(sum(map(operator.mul, row, v)) for row in free) for v in p.vertices]
+        zs = [tuple(sum(map(operator.mul, row, z)) for row in free) for z in zs]
     else:
         columns = IntMatrix.identity(n).entries
         lower = ()
-        zs = p.vertices
     # P in z is full-dimensional, and its projection on z_0..z_j is the hull
-    # of the projected vertices.
+    # of the projected vertices, here scaled by den(P) to integers.
     k = n - r
     facets = []
     for row in hrep.facet_rows:
@@ -343,7 +346,7 @@ def _slice_frame(p: RationalPolytope) -> _SliceFrame:
         picks[-1] = [(i, g[-1]) for i, g in enumerate(rows) if g[-1]]
     projections = []
     for j in range(k - 1):
-        for c in _facet_scan(tuple(sorted({z[: j + 1] for z in zs})))[2]:
+        for c in sorted(_facet_rows(list({z[: j + 1] for z in zs}), scale)):
             if c[j]:
                 picks[j].append((len(rows), c[j]))
                 rows.append(c[:-1] + (0,) * (k - 1 - j))
