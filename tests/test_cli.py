@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import freesum
 import freesum.corpus
 import freesum.freesums
 from freesum.cli import main
@@ -434,3 +439,61 @@ def test_cli_stdout_matches_recorded_digests(tmp_path, monkeypatch):
             assert {"exit": status, "stdout_sha256": digest} == recorded[op.key], op.args
             keys.add(op.key)
     assert keys == recorded.keys()
+
+
+def fresh_python(*args):
+    """Run a fresh interpreter on this package's source, as the benchmark does."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(freesum.__file__))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("case, expected", [("corpus", 0), ("check-fails", 1), ("input-error", 2)])
+def test_fresh_process_exit_keeps_output_and_status(tmp_path, case, expected):
+    """A process that ends through ``main``'s exit hook prints what ``main``
+    returns in process, on stdout and stderr, with the same exit code."""
+    a = write_polytope(tmp_path, "a.json", poly(2, (0, 0), (F(2, 3), 0)))
+    b = write_polytope(tmp_path, "b.json", poly(2, (0, 0), (0, F(2, 3))))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    argv = {
+        "corpus": ["corpus", "--config", str(CORPUS_FILE), "--height", "7"],
+        "check-fails": ["check", "--a", a, "--b", b, "--height", "5"],
+        "input-error": ["dual", "--in", str(bad)],
+    }[case]
+    # The benchmark's invocation: ``main`` as the whole program.
+    done = fresh_python("-c", "import sys; from freesum.cli import main; sys.exit(main())", *argv)
+    status, out, err = run_cli(argv)
+    assert (done.returncode, done.stdout, done.stderr) == (status, out, err)
+    assert status == expected
+    assert (len(out) > 8000) == (case == "corpus")
+
+
+def test_main_leaves_collection_on(tmp_path):
+    """``main`` freezes nothing while the process runs: tests and library
+    callers keep normal collection."""
+    path = write_polytope(tmp_path, "diamond.json", diamond())
+    status, _, _ = run_cli(["sigma", "--in", path, "--height", "3"])
+    assert status == 0
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
+
+
+def test_repeated_main_calls_freeze_once_at_exit(tmp_path):
+    """A process that calls ``main`` three times runs its exit hook once, at
+    exit: each call unregisters the hook before registering it."""
+    path = write_polytope(tmp_path, "diamond.json", diamond())
+    script = (
+        "import atexit, gc, io\n"
+        "from contextlib import redirect_stdout\n"
+        "from freesum.cli import main\n"
+        "calls, freeze = [], gc.freeze\n"
+        "gc.freeze = lambda: (calls.append(gc.get_freeze_count()), freeze())\n"
+        "atexit.register(lambda: print(calls))\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['dual', '--in', {path!r}]) for _ in range(3)]\n"
+        "print(codes, calls)\n"
+    )
+    done = fresh_python("-c", script)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["[0, 0, 0] []", "[0]"]
