@@ -209,13 +209,13 @@ def _run_check(args):
     if args.mode == "decompose":
         # decompose_sigma raises unless every hull point has exactly one
         # split, so a report only exists when both literals hold.
-        heights = decompose_sigma(a, b, height)
+        counts = decompose_sigma(a, b, height)
         report.update(
             {
                 "dual_denominator": dual_denominator(a),
                 "matches_enumeration": True,
                 "split_violations": 0,
-                "terms": sum(height + 1 - h for h in heights.values()),
+                "terms": sum(c * (height + 1 - t) for t, c in enumerate(counts)),
             }
         )
         return report, 0
@@ -268,10 +268,15 @@ def _emit(report: dict, fmt: str, stream) -> None:
         stream.write(f"{key}: {value}\n")
 
 
+_exit_hook_registered = False
+
+
 def main(argv=None) -> int:
     # At exit, freeze the heap so that finalization's collections skip it.
-    atexit.unregister(gc.freeze)
-    atexit.register(gc.freeze)
+    global _exit_hook_registered
+    if not _exit_hook_registered:
+        atexit.register(gc.freeze)
+        _exit_hook_registered = True
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

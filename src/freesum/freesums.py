@@ -18,7 +18,7 @@ of ``cones``, which owns r*Lambda^p.  ``check_braun_multivariate`` reads the
 residual off the pairs for both kinds.  The split check (``_split_check``)
 compares each pair's low with the least height of its offset in the hull's
 own class table at p: ``decomposition_check`` reports it at any p, and
-``decompose_sigma``, its p = 0 form, raises on a mismatch.
+``decompose_sigma``, at p = 0, runs it only where per-height counts differ.
 ``gorenstein_affine_check`` reads the interior identity of a Gorenstein
 summand off its class table at the center.
 """
@@ -28,8 +28,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 
+from . import cones
 from .cones import (
     _class_table,
     cone_over,
@@ -57,6 +59,7 @@ from .polytopes import (
     direction_basis,
     gorenstein_data,
     is_lattice_polyhedron,
+    lattice_tags,
     polar_dual,
 )
 from .records import frozen
@@ -329,23 +332,26 @@ def check_braun_univariate(
 
 def decompose_sigma(
     p: RationalPolytope, k: RationalPolytope, height_bound: int
-) -> dict[Vector, int]:
-    """The first-height map z -> h(z) of the hull cone (its series up to H
-    has coefficient [h(z) <= T] at (z, T), sum(H - h(z) + 1) terms), built
-    from the shifted lower envelopes of cone(P) and the copies of cone(K)
-    shifted down, in one pass, and checked against the hull's tagged walk.
+) -> tuple[int, ...]:
+    """The counts c_0..c_H of the hull cone's first heights h(z), whose
+    series up to H has sum c_T*(H + 1 - T) terms, [h(z) <= T] at (z, T).
 
     With d the dual denominator of P, an integer point y of H*P lies on
-    exactly one envelope layer: at height t = ceil(lambda(y)), shifted by
-    the gap i/d = t - lambda(y), lambda the least dilation.  It pairs with
-    the points (w, s) of cone(K) shifted down by that gap, those with
-    s >= lambda_K(w) - i/d, which is t + s >= lambda(y) + lambda_K(w).  So
-    the pair (y, w) maps y + w to ceil(lambda(y) + lambda_K(w)) if that is
-    at most H: the low of ``_pairs`` at r = 1, read off the Braun check's
-    tables.  The check is ``_split_check`` at p = 0: the maps are equal, with
-    no z reached twice, iff no hull point lacks its split or has two.  A
-    mismatch raises, since equality holds for every free sum, and names the
-    lex-smallest (z, T) where the two series differ.
+    exactly one envelope layer of cone(P): at height t = ceil(lambda(y)),
+    shifted by the gap i/d = t - lambda(y), lambda the least dilation.  It
+    pairs with the points (w, s) of cone(K) shifted down by that gap, s >=
+    lambda_K(w) - i/d, that is t + s >= lambda(y) + lambda_K(w).  So the
+    pair (y, w) maps y + w to its low, ceil(lambda(y) + lambda_K(w)): c_T =
+    #{(a, b) : ceil((a + b)/den) = T} over the tags of H*P and H*K on a
+    common den, read off the walks the Braun check caches.
+
+    The hull's counts come from its counting walk.  The spans are
+    independent, so (y, w) -> y + w is injective, and y + w lies in
+    low*conv(P u K): the pairs with low <= T inject into the hull points
+    with h <= T.  Equal counts up to H make each map onto, so a hull point
+    z is y + w for a pair with low <= h(z), its only pair: low = h(z), and
+    equal counts are the split check.  A mismatch raises, as equality holds
+    for every free sum, at the lex-smallest (z, T) of ``_split_check``.
     """
     witness = classify_sum(p, k)
     if witness.kind != FREE_SUM:
@@ -353,14 +359,25 @@ def decompose_sigma(
             "the shifted-envelope decomposition applies to free sums at the origin",
             "not-a-free-sum-at-origin",
         )
-    heights, _, faults = _split_check(p, k, (0,) * p.dim, 1, height_bound)
-    if faults:
-        point, splits, coefficient = faults[0]
+    tables = [cones.tagged_lattice_points(q, height_bound) for q in (p, k)]
+    den = math.lcm(*(d for d, _ in tables))
+    hist_p, hist_k = (Counter(m * (den // d) for _, m in tagged) for d, tagged in tables)
+    counts, hull = [0] * (height_bound + 1), [0] * (height_bound + 1)
+    for a, n_a in hist_p.items():
+        for b, n_b in hist_k.items():
+            low = -((-a - b) // den)
+            if low <= height_bound:
+                counts[low] += n_a * n_b
+    den, tags = lattice_tags(hull_union(p, k), height_bound)
+    for m, n_m in Counter(tags).items():
+        hull[-(-m // den)] += n_m
+    if counts != hull:
+        point, splits, coefficient = _split_check(p, k, (0,) * p.dim, 1, height_bound)[1][0]
         raise InternalCheckError(
             f"shifted-envelope decomposition disagrees with enumeration at {point}: "
             f"{splits} splits, direct coefficient {coefficient}"
         )
-    return heights
+    return tuple(counts)
 
 
 def converse_search(
@@ -422,15 +439,14 @@ def gorenstein_affine_check(
 
 
 def _split_check(j: RationalPolytope, k: RationalPolytope, p, r: int, height_bound: int):
-    """(lows, checked, faults) of the split check through p, r = den(p), for
-    J and K whose spans from p are independent.  lows maps the offset v = y +
-    w of each pair (``_pairs``) of the class tables of J and K at p to its
-    low.  The hull cone's lattice points up to H, checked in all, are read
-    off the hull's own class table: z = t*p + v/r at t = least, least + r,
-    ... <= H.  faults lists in lex order each (z + (t,), splits, coefficient)
-    where the number of pairs of offset v with low <= t is not the hull
-    cone's coefficient, 0 or 1; with none, lows is the hull's v -> least.
-    """
+    """(checked, faults) of the split check through p, r = den(p), for J
+    and K whose spans from p are independent: each pair (``_pairs``) of the
+    class tables of J and K at p maps its offset v = y + w to its low, and
+    the hull cone's lattice points up to H, checked in all, are read off the
+    hull's class table, z = t*p + v/r at t = least, least + r, ... <= H.
+    faults lists in lex order each (z + (t,), splits, coefficient) where the
+    number of pairs of offset v with low <= t is not the hull cone's
+    coefficient, 0 or 1."""
     tables = [_class_table(q, p, r, height_bound) for q in (j, k, hull_union(j, k))]
     found = _pairs(*tables[:2], r, height_bound)
     pairs = [(tuple(map(operator.add, y, w)), low) for y, w, low, _ in found]
@@ -453,7 +469,7 @@ def _split_check(j: RationalPolytope, k: RationalPolytope, p, r: int, height_bou
                     point = tuple((t * c + a) // r for c, a in zip(rp, v)) + (t,)
                     faults.append((point, splits, coefficient))
         faults.sort()
-    return lows, checked, faults
+    return checked, faults
 
 
 def decomposition_check(
@@ -484,5 +500,5 @@ def decomposition_check(
     if rational_rank(basis) != len(basis):
         raise PreconditionError("direction spaces intersect nontrivially", "spans-intersect-in-flat")
     r = math.lcm(*(x.denominator for x in p))
-    _, checked, faults = _split_check(j, k, p, r, height_bound)
+    checked, faults = _split_check(j, k, p, r, height_bound)
     return DecompositionReport(checked, tuple((point, splits) for point, splits, _ in faults))

@@ -360,14 +360,14 @@ def _slice_frame(p: RationalPolytope) -> _SliceFrame:
     return _SliceFrame(lower, consts, columns, tuple(facets), tuple(projections), steps, bounds)
 
 
-def _walk(p: RationalPolytope, num: int, q: int, den: int = 0) -> tuple:
+def _walk(p: RationalPolytope, num: int, q: int, den: int = 0, points: bool = True):
     """Integer points of (num/q)*P in lex order, by project and lift in the
     coordinates of ``_slice_frame``: the fixed ones by exact division, each
     z_j over the interval its level's rows leave after the prefix.  With
     ``den`` > 0 (q = 1, the origin in P, den a multiple of each facet
     constant c0_F) a point y comes as (y, den * lambda(y)): a facet's
     remainder at height num is its slack s_F, and den * lambda(y) = max over
-    c0_F > 0 of den/c0_F * (num*c0_F - s_F)."""
+    c0_F > 0 of den/c0_F * (num*c0_F - s_F).  Without ``points``, the tags alone."""
     frame = _slice_frame(p)
     # Forward substitution in L (q x) = -a0 * num; a remainder means the
     # slice's affine hull holds no lattice point.
@@ -403,13 +403,16 @@ def _walk(p: RationalPolytope, num: int, q: int, den: int = 0) -> tuple:
             step = frame.steps[j]
             stack.extend((prefix + (z,), [c - a * z for c, a in zip(rems, step)]) for z in zs[::-1])
             continue
-        out.extend(map(prefix.__add__, zip(zs)))
+        if points:
+            out.extend(map(prefix.__add__, zip(zs)))
         if den and zs:
             lines = []
             for b, ii, es in slopes:
                 s = hd - min(map(operator.mul, es, map(rems.__getitem__, ii)))
                 lines.append(range(s + b * zs[0], s + b * zs.stop, b) if b else repeat(s, len(zs)))
             tags.extend(map(max, *lines) if len(lines) > 1 else lines[0])
+    if not points:
+        return tags
     if r:
         # x = U y, y the fixed coordinates followed by z.
         rows = list(zip(*frame.columns))
@@ -532,8 +535,14 @@ def tagged_lattice_points(p: RationalPolytope, height: int) -> tuple[int, tuple]
     """(den, pairs): the integer points y of height*P in lex order, each with
     the integer den * lambda(y), lambda(y) the least dilation of P holding y,
     den the lcm of the positive facet constants; the origin must be in P."""
+    return lattice_tags(p, height, points=True)
+
+
+def lattice_tags(p: RationalPolytope, height: int, points: bool = False) -> tuple[int, list]:
+    """(den, tags): the tags den * lambda(y) of height*P in walk order, from
+    the counting walk; with ``points``, ``tagged_lattice_points`` uncached."""
     if height < 0:
         raise InputError("dilation factor must be nonnegative")
     _require_origin(p)
     den = math.lcm(*(-row[-1] for row in cone_hrep(p).facet_rows if row[-1]))
-    return den, _walk(p, height, 1, den)
+    return den, _walk(p, height, 1, den, points)

@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from freesum.linalg import (
     qvec,
     rational_rank,
 )
-from freesum.polytopes import _cone_member, lattice_points_in_dilate
+from freesum.polytopes import _cone_member, lattice_points_in_dilate, tagged_lattice_points
 
 
 CORPUS_FILE = Path(__file__).resolve().parent.parent / "corpus" / "standard.json"
@@ -271,6 +272,34 @@ def sigma_cone_by_heights(cone, height_bound: int) -> TruncatedSeries:
         for pt in cone_slice(cone, t):
             terms[pt] = 1
     return TruncatedSeries(cone.ambient_dim, height_bound, terms)
+
+
+def first_height_map(j: RationalPolytope, k: RationalPolytope, height_bound: int) -> dict:
+    """The first-height map z -> h(z) of the hull cone of a free sum J + K
+    at the origin, built pointwise: each pair (y, w) of integer points of
+    H*J and H*K, with their tags, maps y + w to ceil(lambda_J(y) +
+    lambda_K(w)) when that is at most H, and no z may be reached twice.
+    The oracle of ``decompose_sigma``, whose counts are this map's
+    histogram (``height_counts``)."""
+    (den_j, tagged_j), (den_k, tagged_k) = (tagged_lattice_points(q, height_bound) for q in (j, k))
+    den = math.lcm(den_j, den_k)
+    heights = {}
+    for y, a in tagged_j:
+        for w, b in tagged_k:
+            low = -(-(a * (den // den_j) + b * (den // den_k)) // den)
+            if low <= height_bound:
+                z = tuple(map(operator.add, y, w))
+                assert z not in heights, f"{z} has two splits"
+                heights[z] = low
+    return heights
+
+
+def height_counts(heights, height_bound: int) -> tuple:
+    """(c_0, ..., c_H): how many points of a first-height map have each height."""
+    counts = [0] * (height_bound + 1)
+    for h in heights.values():
+        counts[h] += 1
+    return tuple(counts)
 
 
 def height_map_series(heights, num_vars: int, height_bound: int) -> TruncatedSeries:

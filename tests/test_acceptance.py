@@ -42,7 +42,9 @@ from conftest import (
     corpus_pairs,
     diamond,
     epsilon_project,
+    first_height_map,
     geometric_series,
+    height_counts,
     height_map_series,
     indicator_series,
     oracle_count_dilate,
@@ -166,9 +168,11 @@ def test_criterion_4_decomposition_oracle_equivalence():
     assert len(pairs) >= 12
     denominators = set()
     for name, a, b, _ in pairs:
-        total = height_map_series(decompose_sigma(a, b, 10), a.dim + 1, 10)
+        heights = first_height_map(a, b, 10)
+        total = height_map_series(heights, a.dim + 1, 10)
         direct = sigma_cone_by_heights(cone_over(hull_union(a, b)), 10)
         assert total == direct, f"decomposition mismatch for {name}"
+        assert decompose_sigma(a, b, 10) == height_counts(heights, 10), name
         denominators.add(dual_denominator(a))
     assert {1, 2, 3, 6} <= denominators
     elapsed = time.time() - started

@@ -481,7 +481,7 @@ def test_main_leaves_collection_on(tmp_path):
 
 def test_repeated_main_calls_freeze_once_at_exit(tmp_path):
     """A process that calls ``main`` three times runs its exit hook once, at
-    exit: each call unregisters the hook before registering it."""
+    exit: only the first call registers it."""
     path = write_polytope(tmp_path, "diamond.json", diamond())
     script = (
         "import atexit, gc, io\n"
@@ -497,3 +497,24 @@ def test_repeated_main_calls_freeze_once_at_exit(tmp_path):
     done = fresh_python("-c", script)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines() == ["[0, 0, 0] []", "[0]"]
+
+
+def test_repeated_main_calls_keep_one_atexit_slot(tmp_path):
+    """Importing the CLI registers nothing, the first ``main`` registers one
+    exit hook, and later calls add no ``atexit`` slot."""
+    path = write_polytope(tmp_path, "diamond.json", diamond())
+    script = (
+        "import atexit, io\n"
+        "from contextlib import redirect_stdout\n"
+        "counts = [atexit._ncallbacks()]\n"
+        "from freesum.cli import main\n"
+        "counts.append(atexit._ncallbacks())\n"
+        "for _ in range(3):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        f"        main(['dual', '--in', {path!r}])\n"
+        "    counts.append(atexit._ncallbacks())\n"
+        "print([n - counts[0] for n in counts])\n"
+    )
+    done = fresh_python("-c", script)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["[0, 0, 1, 1, 1]"]

@@ -6,10 +6,11 @@ the difference of the (t - i/d)- and (t - (i+1)/d)-dilates, and the cone
 shifted down by i/d holds the points of the (t + i/d)-dilate at height t.
 Segments and polygons containing the origin are drawn with d <= 12, H <= 4.
 
-The one-pass ``decompose_sigma`` is compared with the sum over the d layers
-of each layer's indicator series times that of the shifted cone, the layers
-from ``shifted_envelope_lattice_points`` and the shifted cones from the box
-scan, on polygons with d <= 60.
+The pointwise first-height map of a free sum is compared with the sum over
+the d layers of each layer's indicator series times that of the shifted
+cone, the layers from ``shifted_envelope_lattice_points`` and the shifted
+cones from the box scan, on polygons with d <= 60, and ``decompose_sigma``'s
+per-height counts with that map's histogram.
 """
 
 from __future__ import annotations
@@ -36,7 +37,15 @@ from freesum.errors import InputError, PreconditionError
 from freesum.polytopes import lattice_points_in_scaled, tagged_lattice_points
 from freesum.series import series_mul
 
-from conftest import F, height_map_series, indicator_series, min_dilation, poly
+from conftest import (
+    F,
+    first_height_map,
+    height_counts,
+    height_map_series,
+    indicator_series,
+    min_dilation,
+    poly,
+)
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -174,5 +183,6 @@ def layered_assembly(j: RationalPolytope, k: RationalPolytope, bound: int) -> Tr
 @given(free_sums_at_origin(), st.integers(0, 4))
 def test_one_pass_decompose_matches_layer_sum(pair, bound):
     j, k = pair
-    heights = decompose_sigma(j, k, bound)
+    heights = first_height_map(j, k, bound)
     assert height_map_series(heights, 4, bound) == layered_assembly(j, k, bound)
+    assert decompose_sigma(j, k, bound) == height_counts(heights, bound)

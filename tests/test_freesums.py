@@ -11,6 +11,7 @@ from sympy import Matrix
 
 import freesum.cones
 import freesum.freesums
+import freesum.polytopes
 from freesum import (
     AFFINE_FREE_SUM,
     FREE_SUM,
@@ -46,6 +47,8 @@ from conftest import (
     diamond,
     epsilon_project,
     first_difference,
+    first_height_map,
+    height_counts,
     height_map_series,
     interior_identity_by_heights,
     lattice_basis_of_span,
@@ -407,31 +410,72 @@ def test_braun_univariate_top_polygon():
 
 
 def test_decompose_sigma_matches_enumeration():
-    total = height_map_series(decompose_sigma(axis_seg(2, 0, -2, 3), axis_seg(2, 1, -1, 1), 8), 3, 8)
-    direct = sigma_cone_by_heights(
-        cone_over(hull_union(axis_seg(2, 0, -2, 3), axis_seg(2, 1, -1, 1))), 8
-    )
-    assert total == direct
+    j, k = axis_seg(2, 0, -2, 3), axis_seg(2, 1, -1, 1)
+    heights = first_height_map(j, k, 8)
+    direct = sigma_cone_by_heights(cone_over(hull_union(j, k)), 8)
+    assert height_map_series(heights, 3, 8) == direct
+    assert decompose_sigma(j, k, 8) == height_counts(heights, 8)
 
 
 def test_decompose_sigma_single_layer_is_braun_product():
     p = axis_seg(2, 0, -1, 1)
     k = axis_seg(2, 1, 0, F(2, 3))
-    total = height_map_series(decompose_sigma(p, k, 6), 3, 6)
+    heights = first_height_map(p, k, 6)
+    total = height_map_series(heights, 3, 6)
     w = classify_sum(p, k)
     product = series_mul(
         sigma_cone_by_heights(cone_over(p), 6), sigma_cone_by_heights(cone_over(k), 6)
     )
     assert total == apply_one_minus_monomial(product, w.factor_exponent)
+    assert decompose_sigma(p, k, 6) == height_counts(heights, 6)
 
 
 def test_decompose_sigma_where_braun_fails():
     a = axis_seg(2, 0, 0, F(2, 3))
     b = axis_seg(2, 1, 0, F(2, 3))
-    total = height_map_series(decompose_sigma(a, b, 5), 3, 5)
+    heights = first_height_map(a, b, 5)
     direct = sigma_cone_by_heights(cone_over(hull_union(a, b)), 5)
-    assert total == direct
+    assert height_map_series(heights, 3, 5) == direct
     assert not check_braun_multivariate(classify_sum(a, b), 5).holds_up_to_bound
+    assert decompose_sigma(a, b, 5) == height_counts(heights, 5)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(free_sums(), st.integers(0, 6))
+@example((axis_seg(2, 0, 0, F(2, 3)), axis_seg(2, 1, 0, F(2, 3))), 6)
+def test_decompose_sigma_counts_match_the_oracle(pair, bound):
+    """The per-height counts equal the histogram of the pointwise
+    first-height map, whose series is the hull cone's, walked height by
+    height; so does the CLI's term count, sum c_T * (H + 1 - T)."""
+    j, k = pair
+    heights = first_height_map(j, k, bound)
+    direct = sigma_cone_by_heights(cone_over(hull_union(j, k)), bound)
+    assert height_map_series(heights, j.dim + 1, bound) == direct
+    counts = decompose_sigma(j, k, bound)
+    assert counts == height_counts(heights, bound)
+    assert sum(c * (bound + 1 - t) for t, c in enumerate(counts)) == len(direct.terms)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [pair for pair in corpus_pairs() if "decompose" in pair.modes],
+    ids=lambda pair: pair.name,
+)
+def test_decompose_sigma_lists_no_hull_point(monkeypatch, pair):
+    """A passing decomposition reads the summands' tagged walks and only
+    the counting walk of the hull: no walk lists a point of the hull."""
+    hull = hull_union(pair.a, pair.b)
+    real, walks = freesum.polytopes._walk, []
+
+    def recording(p, num, q, den=0, points=True):
+        walks.append((p, points))
+        return real(p, num, q, den, points)
+
+    monkeypatch.setattr(freesum.polytopes, "_walk", recording)
+    tagged_lattice_points.cache_clear()
+    counts = decompose_sigma(pair.a, pair.b, 7)
+    assert counts == height_counts(first_height_map(pair.a, pair.b, 7), 7)
+    assert (hull, False) in walks and (hull, True) not in walks
 
 
 def test_converse_table_rows():
@@ -759,8 +803,8 @@ def test_decomposition_check_matches_bruteforce(case, bound):
     The brute-force side projects every lattice point of cone(J) (heights up
     to T + r - 1), deduplicates, and counts translates containing each hull
     point via the generator representation of cone(K).  For a free sum at the
-    origin the one-pass ``decompose_sigma`` counts the same splits, and none
-    off the hull cone.
+    origin the pointwise first-height map counts the same splits, and none
+    off the hull cone, and ``decompose_sigma``'s counts are its histogram.
     """
     j, k, p = case
     cone_j = cone_over(j)
@@ -787,7 +831,8 @@ def test_decomposition_check_matches_bruteforce(case, bound):
     if not any(p):
         try:
             if classify_sum(j, k).kind == FREE_SUM:
-                decomposed = decompose_sigma(j, k, bound)
+                decomposed = first_height_map(j, k, bound)
+                assert decompose_sigma(j, k, bound) == height_counts(decomposed, bound)
         except ClassificationError:
             pass
     expected_violations = []

@@ -8,7 +8,8 @@ is capped so that the oracle's box stays small.
 
 The tagged walk of H*P, for P containing the origin in dimensions 1-4, is
 checked the same way, each tag against ``_least_dilation``, and the series
-built from it against the per-height oracle.  The walk's prefix bounds, the
+built from it against the per-height oracle; the counting walk's tags are
+the tagged walk's.  The walk's prefix bounds, the
 facet rows of each coordinate projection of the vertices, are checked to
 be facets of that projection and to cut it out, against the convex hull of
 the projected vertices.
@@ -28,6 +29,7 @@ from freesum.polytopes import (
     _slice_frame,
     cone_hrep,
     lattice_points_in_scaled,
+    lattice_tags,
     tagged_lattice_points,
 )
 
@@ -155,6 +157,23 @@ def test_tags_are_least_dilations(case):
     hrep = cone_hrep(p)
     assert [F(m, den) for _, m in tagged] == [_least_dilation(hrep, y) for y, _ in tagged]
     assert sigma_cone(cone_over(p), height) == sigma_cone_by_heights(cone_over(p), height)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tagged_cases())
+@example((poly(3, (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)), 3))
+@example((poly(4, (0, 0, 0, 0), (2, 1, 0, 0), (0, 1, 1, 0), (-1, 0, 1, 1), (1, -1, 0, 1)), 2))
+@example((poly(3, (-1, 1, -1), (2, -2, 2)), 3))
+@example((poly(2, (0, 0)), 4))
+@example((poly(2, (1, 0), (-1, 0)), 0))
+def test_counting_walk_tags_match_the_listing_walk(case):
+    """The counting walk gives the listing walk's den and its tags as a
+    multiset, flats off the coordinate axes included."""
+    p, height = case
+    den, tagged = tagged_lattice_points(p, height)
+    count_den, tags = lattice_tags(p, height)
+    assert count_den == den
+    assert sorted(tags) == sorted(m for _, m in tagged)
 
 
 @st.composite
