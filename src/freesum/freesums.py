@@ -351,7 +351,7 @@ def decompose_sigma(
     with h <= T.  Equal counts up to H make each map onto, so a hull point
     z is y + w for a pair with low <= h(z), its only pair: low = h(z), and
     equal counts are the split check.  A mismatch raises, as equality holds
-    for every free sum, at the lex-smallest (z, T) of ``_split_check``.
+    for every free sum, at the lex-smallest (z, T) ``_split_check`` finds, if any.
     """
     witness = classify_sum(p, k)
     if witness.kind != FREE_SUM:
@@ -372,10 +372,10 @@ def decompose_sigma(
     for m, n_m in Counter(tags).items():
         hull[-(-m // den)] += n_m
     if counts != hull:
-        point, splits, coefficient = _split_check(p, k, (0,) * p.dim, 1, height_bound)[1][0]
+        faults = _split_check(p, k, (0,) * p.dim, 1, height_bound)[1]
+        at = "at {}: {} splits, direct coefficient {}".format(*faults[0]) if faults else "in counts"
         raise InternalCheckError(
-            f"shifted-envelope decomposition disagrees with enumeration at {point}: "
-            f"{splits} splits, direct coefficient {coefficient}"
+            f"shifted-envelope decomposition disagrees with enumeration {at}"
         )
     return tuple(counts)
 

@@ -740,6 +740,24 @@ def test_decompose_sigma_names_broken_split(monkeypatch, fault):
     assert f"at {point}: {splits} splits, direct coefficient 1" in str(err.value)
 
 
+def test_decompose_sigma_raises_where_no_listed_point_fails(monkeypatch):
+    """J = {0} and K = [0, 2*e2] have the hull K.  With the origin dropped
+    from the listed points of K, and so of the hull, every listed hull point
+    has its one split and the pointwise check names no point; the hull's
+    counting walk still counts the origin, and the count check raises."""
+    j, k = poly(2, (0, 0)), axis_seg(2, 1, 0, 2)
+    assert hull_union(j, k) == k
+    real = freesum.cones.tagged_lattice_points
+
+    def faulty(p, bound):
+        den, points = real(p, bound)
+        return (den, points[1:]) if p == k else (den, points)
+
+    monkeypatch.setattr(freesum.cones, "tagged_lattice_points", faulty)
+    with pytest.raises(InternalCheckError, match="enumeration in counts"):
+        decompose_sigma(j, k, 0)
+
+
 def test_decomposition_check_requires_point_in_both_summands():
     j = poly(2, (0, 0), (2, 0))
     k = poly(2, (3, -1), (3, 1))
