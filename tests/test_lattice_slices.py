@@ -9,10 +9,10 @@ is capped so that the oracle's box stays small.
 The tagged walk of H*P, for P containing the origin in dimensions 1-4, is
 checked the same way, each tag against ``_least_dilation``, and the series
 built from it against the per-height oracle; the counting walk's tags are
-the tagged walk's.  The walk's prefix bounds, the
-facet rows of each coordinate projection of the vertices, are checked to
-be facets of that projection and to cut it out, against the convex hull of
-the projected vertices.
+the tagged walk's.  The walk's prefix bounds, the facet rows of each
+coordinate projection of the vertices, are checked to be facets of that
+projection and to cut it out, against the convex hull of the projected
+vertices.
 """
 
 from __future__ import annotations
