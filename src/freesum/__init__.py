@@ -5,8 +5,8 @@ from .cones import (
     shifted_envelope_lattice_points, shifted_envelope_nonempty,
 )
 from .errors import (
-    ClassificationError, FreesumError, InconclusiveError, InputError, InternalCheckError,
-    PreconditionError, TruncationError,
+    ClassificationError, FreesumError, InputError, InternalCheckError, PreconditionError,
+    TruncationError,
 )
 from .freesums import (
     AFFINE_FREE_SUM, FREE_SUM, BraunVerdict, ConverseReport, DecompositionReport,
@@ -32,8 +32,8 @@ __all__ = [
     "ConeOverPolytope", "LambdaP", "ShiftSearchResult", "cone_over", "lambda_p", "llenv_points",
     "shifted_envelope_lattice_points", "shifted_envelope_nonempty",
     # errors
-    "ClassificationError", "FreesumError", "InconclusiveError", "InputError", "InternalCheckError",
-    "PreconditionError", "TruncationError",
+    "ClassificationError", "FreesumError", "InputError", "InternalCheckError", "PreconditionError",
+    "TruncationError",
     # freesums
     "AFFINE_FREE_SUM", "FREE_SUM", "BraunVerdict", "ConverseReport", "DecompositionReport",
     "EnvelopeCondition", "FreeSumWitness", "UnivariateBraunVerdict", "check_braun_multivariate",

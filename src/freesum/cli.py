@@ -13,15 +13,9 @@ import gc
 import sys
 from fractions import Fraction
 
-from .corpus import MODES, corpus_run
-from .errors import ClassificationError, FreesumError, InternalCheckError
-from .freesums import (
-    check_braun_multivariate,
-    classify_sum,
-    converse_search,
-    decompose_sigma,
-    gorenstein_affine_check,
-)
+from .corpus import MODES, check_pair, corpus_run, verdict_fields
+from .errors import FreesumError, InternalCheckError
+from .freesums import gorenstein_affine_check
 from .cones import cone_over, llenv_points
 from .jsonio import (
     dumps,
@@ -176,69 +170,26 @@ def _run_gorenstein(args):
     )
 
 
+def _check_fields(mode, outcome, witness, height: int) -> dict:
+    """``check``'s own fields: the Braun residual, the number of terms of the
+    hull cone's series up to H, and ``affine`` as the Gorenstein-center check."""
+    if mode == "braun":
+        return {"residual_terms": format_series(outcome.residual)["terms"]}
+    if mode == "decompose":
+        return {"terms": sum(c * (height + 1 - t) for t, c in enumerate(outcome))}
+    if mode == "affine":
+        return verdict_fields(gorenstein_affine_check(witness.j, witness.k, height))
+    return {}
+
+
 def _run_check(args):
-    a = load_polytope(args.a)
-    b = load_polytope(args.b)
+    a, b = load_polytope(args.a), load_polytope(args.b)
     height = _height(args)
     expected = _parse_point_flag(args.point) if args.point is not None else None
-    try:
-        witness = classify_sum(a, b)
-    except ClassificationError as exc:
-        return {"classification": "rejected", "error": exc.code, "height_bound": height}, 1
-    report = {
-        "classification": witness.kind,
-        "height_bound": height,
-        "p": format_point(witness.intersection_point),
-        "r": witness.r,
-        "mode": args.mode,
-    }
-    if expected is not None and expected != witness.intersection_point:
-        raise FreesumError(
-            "classified intersection point differs from --p", "intersection-point-mismatch"
-        )
-    if args.mode == "braun":
-        verdict = check_braun_multivariate(witness, height)
-        report.update(
-            {
-                "factor_exponent": list(verdict.factor_exponent),
-                "holds_up_to_bound": verdict.holds_up_to_bound,
-                "residual_terms": format_series(verdict.residual)["terms"],
-            }
-        )
-        return report, 0 if verdict.holds_up_to_bound else 1
-    if args.mode == "decompose":
-        # decompose_sigma raises unless every hull point has exactly one
-        # split, so a report only exists when both literals hold.
-        counts = decompose_sigma(a, b, height)
-        report.update(
-            {
-                "dual_denominator": dual_denominator(a),
-                "matches_enumeration": True,
-                "split_violations": 0,
-                "terms": sum(c * (height + 1 - t) for t, c in enumerate(counts)),
-            }
-        )
-        return report, 0
-    if args.mode == "converse":
-        conv = converse_search(a, b, height)
-        report.update(
-            {
-                "braun_holds_up_to_bound": conv.braun_holds_up_to_bound,
-                "dual_a_lattice": conv.dual_p_lattice,
-                "dual_b_lattice": conv.dual_q_lattice,
-            }
-        )
-        return report, 0
-    if args.mode == "affine":
-        verdict = gorenstein_affine_check(a, b, height)
-        report.update(
-            {
-                "factor_exponent": list(verdict.factor_exponent),
-                "holds_up_to_bound": verdict.holds_up_to_bound,
-            }
-        )
-        return report, 0 if verdict.holds_up_to_bound else 1
-    raise FreesumError(f"unknown mode {args.mode}", "bad-mode")
+    report, holds = check_pair(a, b, height, (args.mode,), "error", _check_fields, expected)
+    if "results" in report:
+        report.update(report.pop("results")[args.mode], mode=args.mode)
+    return report, 0 if holds else 1
 
 
 def _run_corpus(args):

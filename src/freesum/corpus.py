@@ -1,4 +1,5 @@
-"""Batch verification runner for a corpus of summand pairs.
+"""Batch verification runner for a corpus of summand pairs, and the report
+builder (``check_pair``) that ``freesum check`` shares with it.
 
 The pair list lives in ``corpus/standard.json``: it covers dual denominators
 1, 2, 3 and 6 for the first summand, ambient dimensions up to three, affine
@@ -7,9 +8,13 @@ pairs meeting at non-lattice points, and one deliberately rejected pair.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import ClassificationError, FreesumError, InputError, InternalCheckError
 from .freesums import (
+    AFFINE_FREE_SUM,
     FREE_SUM,
+    _series_mismatch,
     check_braun_multivariate,
     classify_sum,
     converse_search,
@@ -33,60 +38,81 @@ class CorpusPair:
 MODES = ("braun", "decompose", "converse", "affine")
 
 
-def _run_pair(pair: CorpusPair, height: int) -> dict:
-    report: dict = {"name": pair.name, "height_bound": height}
+def verdict_fields(verdict) -> dict:
+    """The report fields of a product-formula verdict."""
+    holds = verdict.holds_up_to_bound
+    return {"factor_exponent": list(verdict.factor_exponent), "holds_up_to_bound": holds}
+
+
+def check_pair(a, b, height: int, modes, error_key: str, dialect, expected=None):
+    """(report, holds) for ``check`` and ``corpus``.  The report has the
+    height bound and the classification, then the rejection's code under
+    ``error_key``, or p, r and ``results``: per mode its shared fields, then
+    ``dialect(mode, outcome, witness, height)``, outcome the mode's result.
+    ``affine`` shares none: ``check`` runs the Gorenstein-center check, a
+    corpus the envelope condition.  holds is false on a rejection or a false
+    ``holds_up_to_bound``.  An ``expected`` p that is not the classified one
+    raises before any mode runs; ``braun`` raises ``InternalCheckError`` when
+    Braun's identity at z = 1 (``_series_mismatch``) disagrees with it."""
+    report: dict = {"height_bound": height}
     try:
-        witness = classify_sum(pair.a, pair.b)
+        witness = classify_sum(a, b)
     except ClassificationError as exc:
-        report["classification"] = "rejected"
-        report["error_code"] = exc.code
-        return report
-    report["classification"] = witness.kind
-    report["p"] = format_point(witness.intersection_point)
-    report["r"] = witness.r
+        report.update({"classification": "rejected", error_key: exc.code})
+        return report, False
+    point = format_point(witness.intersection_point)
+    report.update(classification=witness.kind, p=point, r=witness.r)
+    if expected is not None and expected != witness.intersection_point:
+        raise FreesumError(
+            "classified intersection point differs from --p", "intersection-point-mismatch"
+        )
     results: dict = {}
-    for mode in pair.modes:
+    for mode in modes:
+        outcome, fields = None, {}
         if mode == "braun":
-            verdict = check_braun_multivariate(witness, height)
-            results["braun"] = {
-                "factor_exponent": list(verdict.factor_exponent),
-                "holds_up_to_bound": verdict.holds_up_to_bound,
-                "residual_nonnegative": not verdict.residual.has_negative_coefficient(),
-                "counterexample": (
-                    None
-                    if verdict.counterexample is None
-                    else {
-                        "exp": list(verdict.counterexample[0]),
-                        "lhs": verdict.counterexample[1],
-                        "rhs": verdict.counterexample[2],
-                    }
-                ),
-            }
+            outcome = check_braun_multivariate(witness, height)
+            if (_series_mismatch(a, b, witness.r, height) is None) != outcome.holds_up_to_bound:
+                raise InternalCheckError("Braun's univariate identity disagrees with the verdict")
+            fields = verdict_fields(outcome)
         elif mode == "decompose":
             # Raises unless every hull point has exactly one split.
-            decompose_sigma(pair.a, pair.b, height)
-            results["decompose"] = {
-                "dual_denominator": dual_denominator(pair.a),
+            outcome = decompose_sigma(a, b, height)
+            fields = {
+                "dual_denominator": dual_denominator(a),
                 "matches_enumeration": True,
                 "split_violations": 0,
             }
         elif mode == "converse":
-            conv = converse_search(pair.a, pair.b, height)
-            results["converse"] = {
-                "dual_a_lattice": conv.dual_p_lattice,
-                "dual_b_lattice": conv.dual_q_lattice,
-                "braun_holds_up_to_bound": conv.braun_holds_up_to_bound,
+            outcome = converse_search(a, b, height)
+            fields = {
+                "dual_a_lattice": outcome.dual_p_lattice,
+                "dual_b_lattice": outcome.dual_q_lattice,
+                "braun_holds_up_to_bound": outcome.braun_holds_up_to_bound,
             }
-        elif mode == "affine":
-            condition = envelope_condition_check(
-                pair.a, witness.intersection_point, height
-            )
-            results["affine"] = {
-                "envelope_condition": condition.holds,
-                "witness": None if condition.witness is None else format_point(condition.witness),
-            }
+        results[mode] = {**fields, **dialect(mode, outcome, witness, height)}
     report["results"] = results
-    return report
+    return report, all(fields.get("holds_up_to_bound", True) for fields in results.values())
+
+
+def _corpus_fields(mode, outcome, witness, height: int) -> dict:
+    """A corpus pair's own fields: the Braun counterexample, with the
+    residual's sign, nonnegative as each residual coefficient is 0 or 1, and
+    ``affine`` as the envelope condition at p."""
+    if mode == "braun":
+        found = outcome.counterexample
+        return {
+            "residual_nonnegative": True,
+            "counterexample": (
+                None if found is None else {"exp": list(found[0]), "lhs": found[1], "rhs": found[2]}
+            ),
+        }
+    if mode == "affine":
+        condition = envelope_condition_check(witness.j, witness.intersection_point, height)
+        return {
+            "envelope_condition": condition.holds,
+            "witness": None if condition.witness is None else format_point(condition.witness),
+        }
+    return {}
 
 
 def _checked_height(value) -> int:
@@ -101,13 +127,14 @@ def corpus_run(config: dict) -> tuple[dict, int]:
     The whole config is validated first: a malformed pair, mode or height
     raises ``InputError`` before any pair runs.  Classification rejections
     are recorded, not fatal.  The exit code is 1 only when a consistency
-    check fails, and ``consistency_failures`` names the pair and reason:
+    check fails: a mode raised ``InternalCheckError``, the pair is reported
+    as ``inconsistent``, and ``consistency_failures`` names it and why:
 
-    - a mode raised ``InternalCheckError``, and the pair is reported as
-      ``inconsistent``: ``decompose_sigma``'s assembly disagrees with the
-      hull enumeration, or ``converse_search`` saw the product formula fail
-      although a summand has a lattice-polyhedron dual;
-    - a Braun residual has a negative coefficient.
+    - ``decompose_sigma``'s assembly disagrees with the hull enumeration;
+    - ``converse_search`` saw the product formula fail although a summand
+      has a lattice-polyhedron dual;
+    - Braun's univariate identity Ehr_(J+K) = (1 - t^r) * Ehr_J * Ehr_K up
+      to H disagrees with the ``braun`` verdict.
     """
     if not isinstance(config, dict) or not isinstance(config.get("pairs"), list):
         raise InputError('corpus config needs a "pairs" array')
@@ -124,38 +151,25 @@ def corpus_run(config: dict) -> tuple[dict, int]:
         for mode in modes:
             if mode not in MODES:
                 raise InputError(f"unknown corpus mode: {mode!r}")
-        pair = CorpusPair(
-            entry.get("name", "unnamed"),
-            parse_polytope(entry["a"]),
-            parse_polytope(entry["b"]),
-            tuple(modes),
-        )
+        a, b = parse_polytope(entry["a"]), parse_polytope(entry["b"])
+        pair = CorpusPair(entry.get("name", "unnamed"), a, b, tuple(modes))
         runs.append((entry.get("name", ""), pair, _checked_height(entry.get("height", height))))
     pair_reports = []
     consistency_failures = []
     for _, pair, pair_height in sorted(runs, key=lambda run: run[0]):
         name = pair.name
         try:
-            pair_reports.append(_run_pair(pair, pair_height))
+            report, _ = check_pair(
+                pair.a, pair.b, pair_height, pair.modes, "error_code", _corpus_fields
+            )
+            pair_reports.append({"name": name, **report})
         except InternalCheckError as exc:
             consistency_failures.append({"name": name, "reason": str(exc)})
             pair_reports.append({"name": name, "classification": "inconsistent", "error": str(exc)})
         except FreesumError as exc:
             pair_reports.append({"name": name, "classification": "error", "error_code": exc.code})
-
-    for report in pair_reports:
-        results = report.get("results", {})
-        if "braun" in results and not results["braun"]["residual_nonnegative"]:
-            consistency_failures.append(
-                {"name": report["name"], "reason": "negative residual coefficient"}
-            )
-    counts = {
-        "affine_free_sum": sum(
-            1 for r in pair_reports if r.get("classification") == "affine_free_sum"
-        ),
-        "free_sum": sum(1 for r in pair_reports if r.get("classification") == FREE_SUM),
-        "rejected": sum(1 for r in pair_reports if r.get("classification") == "rejected"),
-    }
+    kinds = Counter(r["classification"] for r in pair_reports)
+    counts = {kind: kinds[kind] for kind in (AFFINE_FREE_SUM, FREE_SUM, "rejected")}
     report = {
         "consistency_failures": consistency_failures,
         "counts": counts,

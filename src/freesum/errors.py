@@ -42,12 +42,6 @@ class TruncationError(FreesumError):
     code = "truncation-too-small"
 
 
-class InconclusiveError(FreesumError):
-    """A bounded search ended without a definite verdict."""
-
-    code = "inconclusive"
-
-
 class InternalCheckError(FreesumError):
     """An identity that is guaranteed by theory failed; signals a bug."""
 

@@ -59,7 +59,6 @@ from .polytopes import (
     direction_basis,
     gorenstein_data,
     is_lattice_polyhedron,
-    lattice_tags,
     polar_dual,
 )
 from .records import frozen
@@ -134,6 +133,7 @@ class UnivariateBraunVerdict:
     delta_rhs: tuple[Fraction, ...] | None
 
 
+@functools.lru_cache(maxsize=512)
 def hull_union(j: RationalPolytope, k: RationalPolytope) -> RationalPolytope:
     """Convex hull of the union, with redundant generators pruned."""
     if j.dim != k.dim:
@@ -278,6 +278,18 @@ def check_braun_multivariate(witness: FreeSumWitness, height_bound: int) -> Brau
     )
 
 
+def _series_mismatch(j: RationalPolytope, k: RationalPolytope, r: int, height_bound: int):
+    """The least (t, lhs, rhs) at which Braun's identity Ehr_(J+K) = (1 -
+    t^r) * Ehr_J * Ehr_K fails up to H, or None.  It is the product formula
+    at z = 1, and each residual coefficient is 0 or 1, so it holds iff the
+    multivariate verdict holds: the cached counting series of the hull, J
+    and K check the pair tables of ``check_braun_multivariate``."""
+    lhs = ehrhart_series(hull_union(j, k), height_bound).coefficients
+    product = poly_mul(*(ehrhart_series(q, height_bound).coefficients for q in (j, k)))
+    rhs = [product[t] - (product[t - r] if t >= r else 0) for t in range(height_bound + 1)]
+    return next(((t, lhs[t], rhs[t]) for t in range(height_bound + 1) if lhs[t] != rhs[t]), None)
+
+
 def check_braun_univariate(
     p: RationalPolytope, q: RationalPolytope, height_bound: int
 ) -> UnivariateBraunVerdict:
@@ -289,17 +301,7 @@ def check_braun_univariate(
             "not-a-free-sum-at-origin",
         )
     hull = hull_union(p, q)
-    lhs = ehrhart_series(hull, height_bound).coefficients
-    ep = ehrhart_series(p, height_bound).coefficients
-    eq = ehrhart_series(q, height_bound).coefficients
-    product = poly_mul(list(ep), list(eq))[: height_bound + 1]
-    rhs = tuple(
-        product[t] - (product[t - 1] if t >= 1 else 0) for t in range(height_bound + 1)
-    )
-    mismatch = next(
-        ((t, lhs[t], rhs[t]) for t in range(height_bound + 1) if lhs[t] != rhs[t]), None
-    )
-
+    mismatch = _series_mismatch(p, q, 1, height_bound)
     dim_p, dim_q = p.affine_dim, q.affine_dim
     den_p, den_q = denominator(p), denominator(q)
     lcm = math.lcm(den_p, den_q)
@@ -345,7 +347,9 @@ def decompose_sigma(
     #{(a, b) : ceil((a + b)/den) = T} over the tags of H*P and H*K on a
     common den, read off the walks the Braun check caches.
 
-    The hull's counts come from its counting walk.  The spans are
+    The hull's counts are the first differences of its counting series
+    (``ehrhart_series``, one counting walk, shared with the Braun
+    cross-check).  The spans are
     independent, so (y, w) -> y + w is injective, and y + w lies in
     low*conv(P u K): the pairs with low <= T inject into the hull points
     with h <= T.  Equal counts up to H make each map onto, so a hull point
@@ -362,16 +366,14 @@ def decompose_sigma(
     tables = [cones.tagged_lattice_points(q, height_bound) for q in (p, k)]
     den = math.lcm(*(d for d, _ in tables))
     hist_p, hist_k = (Counter(m * (den // d) for _, m in tagged) for d, tagged in tables)
-    counts, hull = [0] * (height_bound + 1), [0] * (height_bound + 1)
+    counts = [0] * (height_bound + 1)
     for a, n_a in hist_p.items():
         for b, n_b in hist_k.items():
             low = -((-a - b) // den)
             if low <= height_bound:
                 counts[low] += n_a * n_b
-    den, tags = lattice_tags(hull_union(p, k), height_bound)
-    for m, n_m in Counter(tags).items():
-        hull[-(-m // den)] += n_m
-    if counts != hull:
+    ehr = ehrhart_series(hull_union(p, k), height_bound).coefficients
+    if counts != [e - d for d, e in zip((0, *ehr), ehr)]:
         faults = _split_check(p, k, (0,) * p.dim, 1, height_bound)[1]
         at = "at {}: {} splits, direct coefficient {}".format(*faults[0]) if faults else "in counts"
         raise InternalCheckError(

@@ -24,7 +24,7 @@ import operator
 from fractions import Fraction
 from itertools import repeat
 
-from .errors import InconclusiveError, InputError, PreconditionError
+from .errors import InputError, InternalCheckError, PreconditionError
 from .linalg import (
     IntMatrix,
     LatticeBasis,
@@ -506,16 +506,19 @@ def is_reflexive(p: RationalPolytope) -> bool:
     return not dual.ray_functionals and is_lattice_polyhedron(dual)
 
 
-def gorenstein_data(p: RationalPolytope, index_bound: int = 64) -> GorensteinData | None:
+def gorenstein_data(p: RationalPolytope) -> GorensteinData | None:
     """Gorenstein index data of a lattice polytope, or None if not Gorenstein.
 
     Scans dilation factors upward for the first dilate with an interior
     lattice point; the polytope is Gorenstein iff that point is unique and
-    recentering the dilate there gives a reflexive polytope.
+    recentering the dilate there gives a reflexive polytope.  The scan ends
+    by k = d + 1, d the affine dimension: d + 1 affinely independent
+    vertices span a d-simplex in P, and their sum is a lattice point in the
+    relative interior of (d + 1)*P.
     """
     if denominator(p) != 1:
         raise PreconditionError("Gorenstein data requires a lattice polytope", "not-lattice-polytope")
-    for k in range(1, index_bound + 1):
+    for k in range(1, p.affine_dim + 2):
         interior = interior_lattice_points_in_dilate(p, k)
         if not interior:
             continue
@@ -527,7 +530,7 @@ def gorenstein_data(p: RationalPolytope, index_bound: int = 64) -> GorensteinDat
             center = tuple(Fraction(x, k) for x in m)
             return GorensteinData(k, m, center)
         return None
-    raise InconclusiveError(f"no interior lattice point in dilates up to {index_bound}")
+    raise InternalCheckError(f"no interior lattice point in dilates up to {p.affine_dim + 1}")
 
 
 @functools.lru_cache(maxsize=512)

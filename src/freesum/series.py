@@ -10,13 +10,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
-from .cones import ConeOverPolytope, cone_over
+from .cones import ConeOverPolytope
 from .errors import InputError, InternalCheckError, TruncationError
-from .polytopes import RationalPolytope, denominator
+from .polytopes import RationalPolytope, denominator, lattice_points_in_scaled, lattice_tags
 from .records import frozen
 
 Exponent = tuple[int, ...]
@@ -49,9 +50,6 @@ class TruncatedSeries:
 
     def coefficient(self, exp) -> int:
         return self.terms.get(tuple(exp), 0)
-
-    def has_negative_coefficient(self) -> bool:
-        return any(c < 0 for c in self.terms.values())
 
     def _check_compatible(self, other: TruncatedSeries) -> None:
         if self.num_vars != other.num_vars:
@@ -125,16 +123,24 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.num_vars, bound, _pruned(out))
 
 
+@functools.lru_cache(maxsize=512)
 def ehrhart_series(p: RationalPolytope, height_bound: int) -> UnivariateSeries:
-    """Counting series of lattice points in integer dilates, counted off the
-    height ranges of ``lattice_points_by_height`` by a difference array."""
+    """Counting series of lattice points in integer dilates.  With the origin
+    in P it is the running sum of the first heights ceil(lambda(y)) of the
+    counting walk (``lattice_tags``) of H*P; other polytopes are walked once
+    per dilate.  Cached: the split check and the Braun cross-check share
+    the hull's series."""
     if height_bound < 0:
         raise InputError("height bound must be nonnegative")
-    steps = [0] * (height_bound + 2)
-    for _, heights in cone_over(p).lattice_points_by_height(height_bound):
-        steps[heights.start] += 1
-        steps[heights.stop] -= 1
-    return UnivariateSeries(height_bound, tuple(itertools.accumulate(steps[:-1])))
+    if p.contains((0,) * p.dim):
+        den, tags = lattice_tags(p, height_bound)
+        firsts = [0] * (height_bound + 1)
+        for m, n_m in Counter(tags).items():
+            firsts[-(-m // den)] += n_m
+        counts = itertools.accumulate(firsts)
+    else:
+        counts = (len(lattice_points_in_scaled(p, t)) for t in range(height_bound + 1))
+    return UnivariateSeries(height_bound, tuple(counts))
 
 
 def poly_mul(a, b):

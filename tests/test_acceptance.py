@@ -200,7 +200,7 @@ def test_criterion_5_converse_table():
         else:
             assert not verdict.holds_up_to_bound, f"{name}: no lattice dual but no failure"
             assert verdict.residual.terms
-            assert not verdict.residual.has_negative_coefficient()
+            assert set(verdict.residual.terms.values()) <= {1}
             failed += 1
     assert held >= 1 and failed >= 1
     # Pinned witness pair: first discrepancy of [0,2/3] + [0,2/3] at height 3.
@@ -410,7 +410,7 @@ def test_criterion_8_property_suites():
         report = decomposition_check(witness.j, witness.k, witness.intersection_point, bound)
         assert not report.violations, f"split violation: {report.violations[:3]}"
         verdict = check_braun_multivariate(witness, bound)
-        assert not verdict.residual.has_negative_coefficient()
+        assert set(verdict.residual.terms.values()) <= {1}
         if not verdict.holds_up_to_bound:
             seen_failures += 1
     assert seen_failures >= 1

@@ -85,7 +85,9 @@ def test_traced_names_resolve(traced):
         polytopes.tagged_lattice_points,
         freesums.classify_sum,
         freesums.check_braun_multivariate,
+        freesums.hull_union,
         series.sigma_cone,
+        series.ehrhart_series,
     ],
     ids=lambda fn: fn.__name__,
 )

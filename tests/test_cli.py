@@ -19,6 +19,7 @@ import freesum.corpus
 import freesum.freesums
 from freesum.cli import main
 from freesum.corpus import corpus_run
+from freesum.freesums import check_braun_multivariate
 from freesum.errors import InputError
 from freesum.jsonio import dumps, parse_polytope, parse_rational
 
@@ -27,6 +28,7 @@ from conftest import (
     SPLIT_FAULTS,
     F,
     break_split,
+    corpus_pairs,
     diamond,
     format_polytope,
     poly,
@@ -404,14 +406,55 @@ def test_cli_corpus_malformed_config(tmp_path, config, extra):
 
 def test_corpus_validates_every_pair_before_running_any(monkeypatch):
     # Pair "a" sorts first and is well formed; pair "z" has a bad vertex.
-    def fail(pair, height):
-        raise AssertionError(f"pair {pair.name} ran before the config was validated")
+    def fail(a, b, height, modes, *rest):
+        raise AssertionError("a pair ran before the config was validated")
 
-    monkeypatch.setattr(freesum.corpus, "_run_pair", fail)
+    monkeypatch.setattr(freesum.corpus, "check_pair", fail)
     broken = {"dim": 1, "vertices": [["1/0"], ["1"]]}
     pairs = [{"name": "z", "a": broken, "b": SEGMENT}, {"name": "a", "a": SEGMENT, "b": SEGMENT}]
     with pytest.raises(InputError):
         corpus_run({"pairs": pairs})
+
+
+# The corpus pairs whose product formula fails by height 7.
+BRAUN_FAILURES = [
+    "affine-quarter-segment",
+    "affine-third-cross",
+    "threehalves+threehalves",
+    "twothirds+twothirds",
+    "wide+twothirds",
+]
+
+
+def test_braun_cross_check_names_pairs_with_a_broken_verdict(tmp_path, monkeypatch, request):
+    """Braun's univariate identity checks the pair table.  With each pair's
+    high set to its low, every residual vanishes and every failing verdict
+    reads "holds"; the identity still fails there, so the corpus exits 1 and
+    names exactly those pairs, and ``check --mode braun`` exits 1 on one."""
+    config = {**json.loads(CORPUS_FILE.read_text()), "height": 7}
+    report, status = corpus_run(config)
+    assert (status, report["consistency_failures"]) == (0, [])
+    braun = {p["name"]: p["results"]["braun"] for p in report["pairs"] if "results" in p}
+    assert sorted(name for name, b in braun.items() if not b["holds_up_to_bound"]) == BRAUN_FAILURES
+    real = freesum.freesums._pairs
+
+    def agreeing(*args):
+        for y, w, low, _ in real(*args):
+            yield y, w, low, low
+
+    request.addfinalizer(check_braun_multivariate.cache_clear)
+    monkeypatch.setattr(freesum.freesums, "_pairs", agreeing)
+    check_braun_multivariate.cache_clear()
+    report, status = corpus_run(config)
+    assert status == 1
+    assert [f["name"] for f in report["consistency_failures"]] == BRAUN_FAILURES
+    broken = [p for p in report["pairs"] if p["name"] in BRAUN_FAILURES]
+    assert {p["classification"] for p in broken} == {"inconsistent"}
+    pair = next(p for p in corpus_pairs() if p.name == "twothirds+twothirds")
+    a = write_polytope(tmp_path, "a.json", pair.a)
+    b = write_polytope(tmp_path, "b.json", pair.b)
+    status, out, err = run_cli(["check", "--a", a, "--b", b, "--height", "7"])
+    assert (status, out, json.loads(err)["error"]) == (1, "", "internal-check")
 
 
 def test_cli_rejects_boolean_dim(tmp_path):

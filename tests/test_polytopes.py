@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import freesum.polytopes
 from freesum import (
     RationalPolytope,
     denominator,
@@ -19,10 +20,19 @@ from freesum import (
     lattice_points_in_dilate,
     polar_dual,
 )
-from freesum.errors import InputError, PreconditionError
+from freesum.errors import InputError, InternalCheckError, PreconditionError
 from freesum.linalg import qvec
 
-from conftest import F, diamond, in_convex_hull, min_dilation, oracle_count_dilate, poly, segment
+from conftest import (
+    F,
+    corpus_pairs,
+    diamond,
+    in_convex_hull,
+    min_dilation,
+    oracle_count_dilate,
+    poly,
+    segment,
+)
 
 
 def test_vertex_irredundancy_enforced():
@@ -189,6 +199,45 @@ def test_not_gorenstein():
     # First interior dilate of [0,1]x[0,3] has three interior points.
     box = poly(2, (0, 0), (1, 0), (0, 3), (1, 3))
     assert gorenstein_data(box) is None
+
+
+def test_gorenstein_scan_stops_at_dimension_plus_one(monkeypatch):
+    """A lattice d-polytope has a relative-interior lattice point in
+    (d + 1)*P, so ``gorenstein_data`` asks for no dilate past d + 1, on the
+    corpus's lattice summands and the Gorenstein and non-Gorenstein cases."""
+    real, asked = freesum.polytopes.interior_lattice_points_in_dilate, []
+
+    def recording(p, k):
+        asked.append(k)
+        return real(p, k)
+
+    monkeypatch.setattr(freesum.polytopes, "interior_lattice_points_in_dilate", recording)
+    summands = {q for pair in corpus_pairs() for q in (pair.a, pair.b) if denominator(q) == 1}
+    cases = [
+        *sorted(summands, key=repr),
+        poly(2, (0, 0), (1, 0)),
+        diamond(),
+        poly(2, (0, 0), (1, 0), (0, 1)),
+        poly(2, (0, 0), (1, 0), (0, 3), (1, 3)),
+    ]
+    last_scans, found = [], []
+    for p in cases:
+        asked.clear()
+        found.append(gorenstein_data(p) is not None)
+        assert asked == list(range(1, len(asked) + 1))
+        assert len(asked) <= p.affine_dim + 1
+        last_scans.append(len(asked) == p.affine_dim + 1)
+    assert any(found) and not all(found) and any(last_scans)
+
+
+def test_gorenstein_scan_that_ends_empty_raises(monkeypatch):
+    asked = []
+    monkeypatch.setattr(
+        freesum.polytopes, "interior_lattice_points_in_dilate", lambda p, k: asked.append(k) or []
+    )
+    with pytest.raises(InternalCheckError):
+        gorenstein_data(diamond())
+    assert asked == [1, 2, 3]
 
 
 def test_gorenstein_requires_lattice_polytope():
