@@ -7,11 +7,12 @@ vertical case is ``p = 0``.  For p in P, the lattice points (x, s) of
 cone(P) with offset v = r*(x - s*p), a point of r*Lambda^p, are those at
 the heights s >= lambda'(v) in v's class mod r, lambda' the least dilation
 in r*(P - p).  One walk of the points of r*Lambda^p in H*r(P - p), in a
-basis of that lattice, tagged with den * lambda' (``tagged_lattice_points``),
-gives the class table (``_class_table``) that ``llenv_points`` and the
-split, Braun and Gorenstein checks of ``freesums`` read, with the basis
-classes of ``lambda_p``; ``shifted_envelope_lattice_points`` lists one layer
-of the walk at p = 0.
+basis of that lattice, tagged with den * lambda' (``lattice_tags``), gives
+the class table (``_class_table``), with the basis classes of
+``lambda_p``: the one cached listing of a cone's lattice points.
+``llenv_points`` and the split, Braun and Gorenstein checks of ``freesums``
+read it at p; ``lattice_points_by_height``, the shifted envelope layers,
+the shifted-envelope search and ``decompose_sigma`` read it at the origin.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .polytopes import (
     dual_denominator,
     halfspace_rep,
     lattice_points_in_scaled,
-    tagged_lattice_points,
+    lattice_tags,
 )
 from .records import frozen
 
@@ -68,12 +69,12 @@ class ConeOverPolytope:
     def lattice_points_by_height(self, height_bound: int) -> list[tuple[Vector, range]]:
         """Pairs (y, heights): every integer y of some slice up to the bound,
         with the heights t at which (y, t) is in the cone.  For a base with
-        the origin they run from ceil(lambda(y)) up, read off one tagged walk
-        of H*P; other bases are walked one slice at a time."""
+        the origin they run from ceil(lambda(y)) up, read off the class table
+        of H*P at the origin; other bases are walked one slice at a time."""
         ts = range(height_bound + 1)
         if self.contains((0,) * self.base.dim + (1,)):
-            den, tagged = tagged_lattice_points(self.base, height_bound)
-            return [(y, ts[-(-m // den) :]) for y, m in tagged]
+            _, table = _class_table(self.base, (0,) * self.base.dim, height_bound)
+            return [(y, ts[least:]) for y, _, least in table]
         return [(y, ts[t : t + 1]) for t in ts for y in lattice_points_in_scaled(self.base, t)]
 
 
@@ -99,9 +100,9 @@ def llenv_points(cone: ConeOverPolytope, p, height_bound: int) -> list[tuple[QVe
         raise InputError("direction dimension mismatch")
     if not cone.contains(p + (Fraction(1),)):
         raise PreconditionError("direction point must lie in the cone", "direction-not-in-cone")
-    r = math.lcm(*(x.denominator for x in p))
+    den, table = _class_table(cone.base, p, height_bound)
+    r = lambda_p(p).r
     rp = tuple(int(r * x) for x in p)
-    den, table = _class_table(cone.base, p, r, height_bound)
     # The projection of v is (m*r*p + den*v, m*r) over den*r, m = den * lambda'(v).
     out = sorted(
         (tuple(m * a + den * b for a, b in zip(rp, v)) + (m * r,), m == least * den)
@@ -126,10 +127,10 @@ def shifted_envelope_lattice_points(
     d = dual_denominator(p)
     if not 0 <= index <= d - 1:
         raise InputError(f"shift index must be in [0, {d - 1}]")
-    den, tagged = tagged_lattice_points(p, height_bound)
+    den, table = _class_table(p, (0,) * p.dim, height_bound)
     # t = m/den + index/d; d divides den, as den * lambda is an integer.
     out = []
-    for y, m in tagged:
+    for y, m, _ in table:
         t, rest = divmod(m + index * (den // d), den)
         if not rest and t <= height_bound:
             out.append(y + (t,))
@@ -168,31 +169,34 @@ def _lambda_p(p: QVector) -> LambdaP:
     return LambdaP(p, r, basis, tuple(-row[n] % r for row in u[:n]))
 
 
-def _class_table(q: RationalPolytope, p: QVector, r: int, height_bound: int) -> tuple[int, list]:
-    """(den, [(v, m, least)]): the points v of r*Lambda^p in H*r(Q - p), in
-    lex order, with m = den * lambda'(v) from ``tagged_lattice_points`` and
-    least the least s >= lambda'(v) in v's class sigma(v) = -c mod r, where
-    v = c*r*p (mod r).  At r = 1 every integer point is kept, least =
-    ceil(lambda').  For r > 1 the walk runs in coordinates u of the basis
-    rows b of r*Lambda^p, v = u.b, in which lambda' is unchanged and sigma(v)
-    = u.sigma(b) mod r: about r*H^n*vol(Q) points, where H*r(Q - p) holds
-    r^n*H^n*vol(Q) integer points."""
+@functools.lru_cache(maxsize=512)
+def _class_table(q: RationalPolytope, p: QVector, height_bound: int) -> tuple[int, tuple]:
+    """(den, ((v, m, least), ...)): the points v of r*Lambda^p in H*r(Q - p),
+    r = den(p), in lex order, with m = den * lambda'(v) from the tagged walk
+    (``lattice_tags``) and least the least s >= lambda'(v) in v's class
+    sigma(v) = -c mod r, where v = c*r*p (mod r).  At r = 1 every integer
+    point is kept, least = ceil(lambda').  For r > 1 the walk runs in
+    coordinates u of the basis rows b of r*Lambda^p, v = u.b, in which
+    lambda' is unchanged and sigma(v) = u.sigma(b) mod r: about r*H^n*vol(Q)
+    points, where H*r(Q - p) holds r^n*H^n*vol(Q) integer points.  Cached:
+    the one listing of a cone's lattice points, all tuples, shared by all."""
+    refinement = lambda_p(p)
+    r = refinement.r
     if r == 1:
         q = q.translate(tuple(-x for x in p)) if any(p) else q
-        den, tagged = tagged_lattice_points(q, height_bound)
-        return den, [(v, m, -(-m // den)) for v, m in tagged]
-    refinement = lambda_p(p)
+        den, tagged = lattice_tags(q, height_bound, points=True)
+        return den, tuple((v, m, -(-m // den)) for v, m in tagged)
     basis, sigmas = refinement.scaled_basis.vectors, refinement.classes
     inverse = tuple(zip(*invert_rational(basis)))
     shifted = [[r * (a - c) for a, c in zip(w, p)] for w in q.vertices]
     image = tuple(tuple(sum(map(operator.mul, w, col)) for col in inverse) for w in shifted)
-    den, tagged = tagged_lattice_points(RationalPolytope(q.dim, image), height_bound)
+    den, tagged = lattice_tags(RationalPolytope(q.dim, image), height_bound, points=True)
     table, columns = [], tuple(zip(*basis))
     for u, m in tagged:
         least, sigma = -(-m // den), sum(map(operator.mul, u, sigmas))
         v = tuple(sum(map(operator.mul, u, column)) for column in columns)
         table.append((v, m, least + (sigma - least) % r))
-    return den, sorted(table)
+    return den, tuple(sorted(table))
 
 
 @frozen
@@ -226,8 +230,13 @@ def shifted_envelope_nonempty(
         raise InputError("sign must be +1 or -1")
     rho = Fraction(rho)
     s = sign * rho
-    rep = halfspace_rep(p)
     n = p.dim
+    if height_bound is None:
+        height_bound = 4 * rho.denominator * denominator(p) * (n + 1)
+    height_bound = Fraction(height_bound)
+    if height_bound < 0:
+        raise InputError("dilation factor must be nonnegative")
+    rep = halfspace_rep(p)
     if rep.span_basis.rank == 0:
         if s.denominator == 1:
             witness = (Fraction(0),) * n + (s,)
@@ -244,14 +253,9 @@ def shifted_envelope_nonempty(
     if not solvable:
         return ShiftSearchResult(False, None, True, None)
 
-    if height_bound is None:
-        height_bound = 4 * rho.denominator * denominator(p) * (n + 1)
-    height_bound = Fraction(height_bound)
-    if height_bound < 0:
-        raise InputError("dilation factor must be nonnegative")
-    den, tagged = tagged_lattice_points(p, math.ceil(height_bound))
+    den, table = _class_table(p, (0,) * n, math.ceil(height_bound))
     limit, modulus = math.floor(height_bound * den), den * s.denominator
-    for y, m in tagged:
+    for y, m, _ in table:
         # lambda = m/den is at most the bound, and lambda + s is an integer.
         if m <= limit and (m * s.denominator + s.numerator * den) % modulus == 0:
             witness = qvec(y) + (Fraction(m, den) + s,)

@@ -115,17 +115,12 @@ def _corpus_fields(mode, outcome, witness, height: int) -> dict:
     return {}
 
 
-def _checked_height(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise InputError("corpus height must be a nonnegative integer")
-    return value
-
-
 def corpus_run(config: dict) -> tuple[dict, int]:
     """Run every configured pair; returns (report, exit_code).
 
-    The whole config is validated first: a malformed pair, mode or height
-    raises ``InputError`` before any pair runs.  Classification rejections
+    Every pair runs at the config's ``"height"``, else 10.  The whole config
+    is validated first: a malformed pair, mode or height raises
+    ``InputError`` before any pair runs.  Classification rejections
     are recorded, not fatal.  The exit code is 1 only when a consistency
     check fails: a mode raised ``InternalCheckError``, the pair is reported
     as ``inconsistent``, and ``consistency_failures`` names it and why:
@@ -138,7 +133,9 @@ def corpus_run(config: dict) -> tuple[dict, int]:
     """
     if not isinstance(config, dict) or not isinstance(config.get("pairs"), list):
         raise InputError('corpus config needs a "pairs" array')
-    height = _checked_height(config.get("height", 10))
+    height = config.get("height", 10)
+    if isinstance(height, bool) or not isinstance(height, int) or height < 0:
+        raise InputError("corpus height must be a nonnegative integer")
     runs = []
     for entry in config["pairs"]:
         if not isinstance(entry, dict) or "a" not in entry or "b" not in entry:
@@ -153,15 +150,13 @@ def corpus_run(config: dict) -> tuple[dict, int]:
                 raise InputError(f"unknown corpus mode: {mode!r}")
         a, b = parse_polytope(entry["a"]), parse_polytope(entry["b"])
         pair = CorpusPair(entry.get("name", "unnamed"), a, b, tuple(modes))
-        runs.append((entry.get("name", ""), pair, _checked_height(entry.get("height", height))))
+        runs.append((entry.get("name", ""), pair))
     pair_reports = []
     consistency_failures = []
-    for _, pair, pair_height in sorted(runs, key=lambda run: run[0]):
+    for _, pair in sorted(runs, key=lambda run: run[0]):
         name = pair.name
         try:
-            report, _ = check_pair(
-                pair.a, pair.b, pair_height, pair.modes, "error_code", _corpus_fields
-            )
+            report, _ = check_pair(pair.a, pair.b, height, pair.modes, "error_code", _corpus_fields)
             pair_reports.append({"name": name, **report})
         except InternalCheckError as exc:
             consistency_failures.append({"name": name, "reason": str(exc)})

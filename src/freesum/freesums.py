@@ -14,11 +14,13 @@ pairs of tagged lattice points: for an affine free sum through p, the points
 v of H*r(J - p) in r*Lambda^p, each in the class sigma(v) mod r of the
 heights s at which v/r + s*p is integral, and those of H*r(K - p) (for a
 free sum, p = 0 and r = 1, the points of H*J and H*K), the class tables
-of ``cones``, which owns r*Lambda^p.  ``check_braun_multivariate`` reads the
-residual off the pairs for both kinds.  The split check (``_split_check``)
-compares each pair's low with the least height of its offset in the hull's
-own class table at p: ``decomposition_check`` reports it at any p, and
-``decompose_sigma``, at p = 0, runs it only where per-height counts differ.
+of ``cones``, which owns r*Lambda^p and caches each table, so the checks
+of one summand at one p and height share one walk.
+``check_braun_multivariate`` reads the residual off the pairs for both
+kinds.  The split check (``_split_check``) compares each pair's low with
+the least height of its offset in the hull's own class table at p:
+``decomposition_check`` reports it at any p, and ``decompose_sigma``, at
+p = 0, runs it only where per-height counts differ.
 ``gorenstein_affine_check`` reads the interior identity of a Gorenstein
 summand off its class table at the center.
 """
@@ -31,7 +33,6 @@ import operator
 from collections import Counter
 from fractions import Fraction
 
-from . import cones
 from .cones import (
     _class_table,
     cone_over,
@@ -190,13 +191,13 @@ def envelope_condition_check(j: RationalPolytope, p, height_bound: int) -> Envel
     return EnvelopeCondition(witness is None, witness)
 
 
-def _settled(table: tuple[int, list]) -> bool:
+def _settled(table: tuple[int, tuple]) -> bool:
     """Whether each point's least height in its class is its least dilation."""
     den, points = table
     return all(least * den == m for _, m, least in points)
 
 
-def _pairs(table_j: tuple[int, list], table_k: tuple[int, list], r: int, height_bound: int):
+def _pairs(table_j: tuple[int, tuple], table_k: tuple[int, tuple], r: int, height_bound: int):
     """(y, w, low, high) for each pair of the two class tables with low <= H:
     low the least T >= lambda'_J(y) + lambda'_K(w) in the class of high, and
     high = least(y) + least(w).  K is sorted by its tag, so the loop over K
@@ -256,16 +257,16 @@ def check_braun_multivariate(witness: FreeSumWitness, height_bound: int) -> Brau
     one table has an integer lambda' in its own class, then low = high for
     every pair and the residual is zero, so K is tagged first and H*r(J - p)
     is not enumerated when K settles it.  A negative height bound raises in
-    ``tagged_lattice_points``.
+    the tables' walk (``lattice_tags``).
 
     Cached, like ``sigma_cone``: the verdict is frozen and its residual is a
     read-only series, so callers share no mutable state."""
     p, r = witness.intersection_point, witness.r
     rp = witness.factor_exponent[:-1]
-    table_k = _class_table(witness.k, p, r, height_bound)
+    table_k = _class_table(witness.k, p, height_bound)
     terms: dict[tuple[int, ...], int] = {}
     if not _settled(table_k):
-        table_j = _class_table(witness.j, p, r, height_bound)
+        table_j = _class_table(witness.j, p, height_bound)
         if not _settled(table_j):
             for v, w, low, high in _pairs(table_j, table_k, r, height_bound):
                 if low < high:
@@ -345,7 +346,8 @@ def decompose_sigma(
     lambda_K(w) - i/d, that is t + s >= lambda(y) + lambda_K(w).  So the
     pair (y, w) maps y + w to its low, ceil(lambda(y) + lambda_K(w)): c_T =
     #{(a, b) : ceil((a + b)/den) = T} over the tags of H*P and H*K on a
-    common den, read off the walks the Braun check caches.
+    common den, read off their class tables at the origin, the Braun
+    check's.
 
     The hull's counts are the first differences of its counting series
     (``ehrhart_series``, one counting walk, shared with the Braun
@@ -363,9 +365,9 @@ def decompose_sigma(
             "the shifted-envelope decomposition applies to free sums at the origin",
             "not-a-free-sum-at-origin",
         )
-    tables = [cones.tagged_lattice_points(q, height_bound) for q in (p, k)]
+    tables = [_class_table(q, (0,) * p.dim, height_bound) for q in (p, k)]
     den = math.lcm(*(d for d, _ in tables))
-    hist_p, hist_k = (Counter(m * (den // d) for _, m in tagged) for d, tagged in tables)
+    hist_p, hist_k = (Counter(m * (den // d) for _, m, _ in table) for d, table in tables)
     counts = [0] * (height_bound + 1)
     for a, n_a in hist_p.items():
         for b, n_b in hist_k.items():
@@ -431,7 +433,7 @@ def gorenstein_affine_check(
     if witness.r != data.index:
         raise InternalCheckError("Gorenstein index differs from the center denominator")
     r, rc = witness.r, witness.factor_exponent[:-1]
-    den, table = _class_table(p, witness.intersection_point, r, height_bound)
+    den, table = _class_table(p, witness.intersection_point, height_bound)
     faults = [(least, v) for v, m, least in table if m < den * least and least <= height_bound]
     if faults:
         least, v = min(faults)
@@ -449,7 +451,7 @@ def _split_check(j: RationalPolytope, k: RationalPolytope, p, r: int, height_bou
     faults lists in lex order each (z + (t,), splits, coefficient) where the
     number of pairs of offset v with low <= t is not the hull cone's
     coefficient, 0 or 1."""
-    tables = [_class_table(q, p, r, height_bound) for q in (j, k, hull_union(j, k))]
+    tables = [_class_table(q, p, height_bound) for q in (j, k, hull_union(j, k))]
     found = _pairs(*tables[:2], r, height_bound)
     pairs = [(tuple(map(operator.add, y, w)), low) for y, w, low, _ in found]
     lows = dict(pairs)

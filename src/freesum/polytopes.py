@@ -12,7 +12,7 @@ affine lattice (``_slice_frame``), on plain ints, with no candidate that
 fails a facet and, by the facet scan of each coordinate projection of
 its vertices, no prefix empty over the reals; for P containing the origin
 it can tag each point with its least dilation, as an integer
-(``tagged_lattice_points``).
+(``lattice_tags``).
 """
 
 from __future__ import annotations
@@ -533,17 +533,12 @@ def gorenstein_data(p: RationalPolytope) -> GorensteinData | None:
     raise InternalCheckError(f"no interior lattice point in dilates up to {p.affine_dim + 1}")
 
 
-@functools.lru_cache(maxsize=512)
-def tagged_lattice_points(p: RationalPolytope, height: int) -> tuple[int, tuple]:
-    """(den, pairs): the integer points y of height*P in lex order, each with
-    the integer den * lambda(y), lambda(y) the least dilation of P holding y,
-    den the lcm of the positive facet constants; the origin must be in P."""
-    return lattice_tags(p, height, points=True)
-
-
 def lattice_tags(p: RationalPolytope, height: int, points: bool = False) -> tuple[int, list]:
     """(den, tags): the tags den * lambda(y) of height*P in walk order, from
-    the counting walk; with ``points``, ``tagged_lattice_points`` uncached."""
+    the counting walk, lambda(y) the least dilation of P holding y and den
+    the lcm of the positive facet constants; the origin must be in P.  With
+    ``points``, the pairs (y, den * lambda(y)) of the integer points y in
+    lex order, which ``cones._class_table`` caches."""
     if height < 0:
         raise InputError("dilation factor must be nonnegative")
     _require_origin(p)

@@ -15,6 +15,8 @@ import operator
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import freesum.cones
 from freesum import RationalPolytope, TruncatedSeries, UnivariateSeries, cone_over
 from freesum.corpus import CorpusPair
@@ -31,7 +33,7 @@ from freesum.linalg import (
     qvec,
     rational_rank,
 )
-from freesum.polytopes import _cone_member, lattice_points_in_dilate, tagged_lattice_points
+from freesum.polytopes import _cone_member, lattice_points_in_dilate, lattice_tags
 
 
 CORPUS_FILE = Path(__file__).resolve().parent.parent / "corpus" / "standard.json"
@@ -248,19 +250,33 @@ SPLIT_FAULTS = {
 }
 
 
-def break_split(monkeypatch, fault):
+@pytest.fixture
+def walk_seam(monkeypatch):
+    """Patches the listing walk under the class tables: ``walk_seam(wrap)``
+    replaces ``cones.lattice_tags`` by ``wrap(real)``.  The cached tables
+    are cleared on setup and teardown, so every table of the test is built
+    on its own walk and none built on a patched walk outlives the test."""
+    real = freesum.cones.lattice_tags
+    freesum.cones._class_table.cache_clear()
+    yield lambda wrap: monkeypatch.setattr(freesum.cones, "lattice_tags", wrap(real))
+    freesum.cones._class_table.cache_clear()
+
+
+def break_split(walk_seam, fault):
     """Free sum J = [-e1, e1], K = [-e2, e2] in R^2 whose K points, as
     ``decompose_sigma`` reads them, carry the named fault.  Returns J, K, the
     broken hull point and its split count."""
     change, point, splits = SPLIT_FAULTS[fault]
     j, k = axis_seg(2, 0, -1, 1), axis_seg(2, 1, -1, 1)
-    real = freesum.cones.tagged_lattice_points
 
-    def faulty(p, bound):
-        den, points = real(p, bound)
-        return (den, change(points)) if p == k else (den, points)
+    def faulty(real):
+        def walk(p, bound, points=False):
+            den, found = real(p, bound, points)
+            return (den, change(found)) if p == k else (den, found)
 
-    monkeypatch.setattr(freesum.cones, "tagged_lattice_points", faulty)
+        return walk
+
+    walk_seam(faulty)
     return j, k, point, splits
 
 
@@ -281,7 +297,9 @@ def first_height_map(j: RationalPolytope, k: RationalPolytope, height_bound: int
     lambda_K(w)) when that is at most H, and no z may be reached twice.
     The oracle of ``decompose_sigma``, whose counts are this map's
     histogram (``height_counts``)."""
-    (den_j, tagged_j), (den_k, tagged_k) = (tagged_lattice_points(q, height_bound) for q in (j, k))
+    (den_j, tagged_j), (den_k, tagged_k) = (
+        lattice_tags(q, height_bound, points=True) for q in (j, k)
+    )
     den = math.lcm(den_j, den_k)
     heights = {}
     for y, a in tagged_j:

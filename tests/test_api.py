@@ -82,7 +82,7 @@ def test_traced_names_resolve(traced):
         polytopes.cone_hrep,
         polytopes._slice_frame,
         polytopes.polar_dual,
-        polytopes.tagged_lattice_points,
+        cones._class_table,
         freesums.classify_sum,
         freesums.check_braun_multivariate,
         freesums.hull_union,

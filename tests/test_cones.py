@@ -19,7 +19,6 @@ from freesum import (
     shifted_envelope_lattice_points,
     shifted_envelope_nonempty,
 )
-import freesum.cones
 from freesum.cones import _class_table
 from freesum.errors import InputError, PreconditionError
 from freesum.linalg import in_pos_hull, qvec
@@ -366,26 +365,31 @@ def test_shift_search_symmetry():
                 assert plus.nonempty == minus.nonempty
 
 
-def test_class_table_walks_only_points_of_the_lattice(monkeypatch):
+def test_class_table_walks_only_points_of_the_lattice(walk_seam):
     """For r > 1 the class table tags r*(Q - p) in coordinates of a basis of
     r*Lambda^p: each walked point is kept, so the walk of the unit cube at p
     = (1/97, 0, 0) to height 4 meets about r*H^3 = 6208 points, not the 59M
     integer points of 4*97*(Q - p).  At r = 6 the table is the oracle's: the
     integer points v of 2*6*(Q - p) in 6*Lambda^p, each with lambda'(v) and
-    the least height s >= lambda'(v) at which v/r + s*p is integral."""
+    the least height s >= lambda'(v) at which v/r + s*p is integral.  A
+    second call reads the cached table and walks nothing."""
     cube = poly(3, *itertools.product((0, 1), repeat=3))
-    real, walked = freesum.cones.tagged_lattice_points, []
+    walked = []
 
-    def recording(q, bound):
-        walked.append(real(q, bound))
-        return walked[-1]
+    def recording(real):
+        def walk(q, bound, points=False):
+            walked.append(real(q, bound, points))
+            return walked[-1]
 
-    monkeypatch.setattr(freesum.cones, "tagged_lattice_points", recording)
+        return walk
+
+    walk_seam(recording)
     for p, r, bound in (((F(1, 2), F(1, 3), F(0)), 6, 2), ((F(1, 97), F(0), F(0)), 97, 4)):
         walked.clear()
-        den, table = _class_table(cube, p, r, bound)
+        den, table = _class_table(cube, p, bound)
         assert len(walked) == 1 and len(walked[0][1]) == len(table) <= r * (bound + 1) ** 3
         assert [v for v, _, _ in table] == sorted(v for v, _, _ in table)
+        assert _class_table(cube, p, bound) == (den, table) and len(walked) == 1
     p, r, bound = (F(1, 2), F(1, 3), F(0)), 6, 2
     shifted = cube.translate(tuple(-x for x in p)).dilate(r)
     lam = lambda_p(p)
@@ -399,5 +403,19 @@ def test_class_table_walks_only_points_of_the_lattice(monkeypatch):
                 if all((x + s * r * c) % r == 0 for x, c in zip(v, p))
             )
             expected.append((v, dilation, least))
-    den, table = _class_table(cube, p, r, bound)
+    den, table = _class_table(cube, p, bound)
     assert [(v, F(m, den), least) for v, m, least in table] == expected
+
+
+@pytest.mark.parametrize(
+    "p", [(0, 0), (F(1, 2), 0), (F(1, 3), F(2, 3))], ids=["origin", "r2", "r3"]
+)
+def test_class_table_is_tuples_all_the_way_down(p):
+    """The cached table shares no mutable state: the table, its list of
+    entries, each entry and each offset are tuples, at r = 1 and r > 1."""
+    square = poly(2, (-1, -1), (2, -1), (2, 2), (-1, 2))
+    table = _class_table(square, p, 3)
+    den, entries = table
+    assert type(table) is tuple and type(entries) is tuple and type(den) is int
+    assert entries and all(type(entry) is tuple and len(entry) == 3 for entry in entries)
+    assert all(type(v) is tuple for v, _, _ in entries)

@@ -34,7 +34,7 @@ from freesum import (
     shifted_envelope_nonempty,
 )
 from freesum.errors import InputError, PreconditionError
-from freesum.polytopes import lattice_points_in_scaled, tagged_lattice_points
+from freesum.polytopes import lattice_points_in_scaled, lattice_tags
 from freesum.series import series_mul
 
 from conftest import (
@@ -107,7 +107,7 @@ def test_layers_match_dilate_differences(p, bound):
 @given(polytopes_with_origin(), st.integers(0, 4))
 def test_least_dilation_is_on_the_dual_grid(p, bound):
     d = dual_denominator(p)
-    den, tagged = tagged_lattice_points(p, bound)
+    den, tagged = lattice_tags(p, bound, points=True)
     for y, lam in ((y, Fraction(m, den)) for y, m in tagged):
         assert lam == min_dilation(p, y)
         assert (d * lam).denominator == 1
@@ -118,7 +118,7 @@ def test_least_dilation_is_on_the_dual_grid(p, bound):
 def test_dilation_helpers_require_origin():
     p = poly(2, (1, 0), (2, 1))
     with pytest.raises(PreconditionError):
-        tagged_lattice_points(p, 2)
+        lattice_tags(p, 2, points=True)
 
 
 def test_tagged_walk_rejects_negative_heights():
@@ -127,7 +127,7 @@ def test_tagged_walk_rejects_negative_heights():
     ``ehrhart_series``."""
     seg = poly(1, (-1,), (2,))
     with pytest.raises(InputError):
-        tagged_lattice_points(seg, -1)
+        lattice_tags(seg, -1, points=True)
     with pytest.raises(InputError):
         decompose_sigma(poly(2, (-1, 0), (2, 0)), poly(2, (0, -1), (0, 1)), -1)
     with pytest.raises(InputError):
@@ -144,6 +144,21 @@ def test_tagged_walk_rejects_negative_heights():
             check_braun_multivariate(witness, -1)
         with pytest.raises(InputError):
             decomposition_check(witness.j, witness.k, witness.intersection_point, -1)
+
+
+def test_shift_search_rejects_negative_height_bounds_on_every_path():
+    """The bound is checked before the facet congruences, so the exact
+    path (rho = 1/2 on [-1, 1], where no congruence is solvable) raises as
+    the scan (rho = 0) does, and so does the rank-0 path of a point."""
+    seg = poly(1, (-1,), (1,))
+    for rho in (F(1, 2), 0):
+        with pytest.raises(InputError, match="nonnegative"):
+            shifted_envelope_nonempty(seg, rho, 1, -5)
+    assert shifted_envelope_nonempty(seg, F(1, 2), 1, 5).exact
+    point = poly(1, (0,))
+    for rho in (F(1, 2), 1):
+        with pytest.raises(InputError, match="nonnegative"):
+            shifted_envelope_nonempty(point, rho, 1, -1)
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -31,12 +32,14 @@ from freesum import (
     sigma_cone,
 )
 from freesum.cones import _class_table
+from freesum.corpus import corpus_run
 from freesum.errors import ClassificationError, InternalCheckError, PreconditionError
 from freesum.linalg import qvec, rational_rank
-from freesum.polytopes import interior_lattice_points_in_dilate, tagged_lattice_points
+from freesum.polytopes import interior_lattice_points_in_dilate, lattice_tags
 from freesum.series import ehrhart_series, series_mul
 
 from conftest import (
+    CORPUS_FILE,
     SPLIT_FAULTS,
     F,
     apply_one_minus_monomial,
@@ -319,23 +322,25 @@ def test_braun_table_matches_series_on_affine_free_sums(pair, bound):
     assert_braun_matches_series(witness, bound)
 
 
-def test_braun_settles_integral_side_without_enumerating_the_other(monkeypatch):
+def test_braun_settles_integral_side_without_enumerating_the_other(walk_seam):
     """With K = [-e3, e3] every least dilation on H*K is an integer, so each
     pair has low = high: the free-sum check reads the verdict off K's tags
     and never tags H*J, whose dilations are fractional (x + y <= 2 is a facet
     at lattice distance 2).  The verdict still equals the series oracle."""
     j = poly(3, (-1, -1, 0), (3, -1, 0), (-1, 3, 0))
     k = axis_seg(3, 2, -1, 1)
-    real = freesum.cones.tagged_lattice_points
-    den, points = real(j, 1)
+    den, points = lattice_tags(j, 1, points=True)
     assert any(m % den for _, m in points)
     tagged = []
 
-    def recording(p, bound):
-        tagged.append((p, bound))
-        return real(p, bound)
+    def recording(real):
+        def walk(p, bound, points=False):
+            tagged.append((p, bound))
+            return real(p, bound, points)
 
-    monkeypatch.setattr(freesum.cones, "tagged_lattice_points", recording)
+        return walk
+
+    walk_seam(recording)
     witness = classify_sum(j, k)
     assert witness.kind == FREE_SUM
     for bound in range(5):
@@ -348,31 +353,26 @@ def test_braun_settles_integral_side_without_enumerating_the_other(monkeypatch):
         assert verdict.residual == residual
 
 
-def test_braun_settles_integral_side_of_an_affine_sum(monkeypatch):
+def test_braun_settles_integral_side_of_an_affine_sum():
     """J the triangle (0,0,0), (1,0,0), (0,1,0) and K the segment from
     (1/3,1/3,-1/3) to (1/3,1/3,1/3) meet at p = (1/3,1/3,0), r = 3.  The kept
     points of H*3(K - p) are (0, 0, 3i), each with the integer least dilation
-    3|i| in its class 0 mod 3, so every pair has low = high: only K is
-    tagged, and the verdict still equals the series oracle."""
+    3|i| in its class 0 mod 3, so every pair has low = high: only K's class
+    table is built, and the verdict still equals the series oracle."""
     j = poly(3, (0, 0, 0), (1, 0, 0), (0, 1, 0))
     k = poly(3, (F(1, 3), F(1, 3), F(-1, 3)), (F(1, 3), F(1, 3), F(1, 3)))
     witness = classify_sum(j, k)
     assert witness.kind == AFFINE_FREE_SUM and witness.r == 3
-    real = freesum.cones.tagged_lattice_points
-    tagged = []
-
-    def recording(p, bound):
-        tagged.append((p, bound))
-        return real(p, bound)
-
-    monkeypatch.setattr(freesum.cones, "tagged_lattice_points", recording)
+    p = witness.intersection_point
+    _class_table.cache_clear()
     for bound in range(9):
-        tagged.clear()
-        _class_table(k, witness.intersection_point, 3, bound)
-        walk_of_k = tagged[:]
-        tagged.clear()
+        before = _class_table.cache_info().misses
         verdict = check_braun_multivariate.__wrapped__(witness, bound)
-        assert len(walk_of_k) == 1 and tagged == walk_of_k
+        assert _class_table.cache_info().misses == before + 1
+        _class_table(k, p, bound)  # K's table: cached by the check
+        assert _class_table.cache_info().misses == before + 1
+        _class_table(j, p, bound)  # J's table: not built by the check
+        assert _class_table.cache_info().misses == before + 2
         assert verdict.holds_up_to_bound
         holds, counterexample, residual = braun_by_series(witness, bound)
         assert holds and counterexample is None and not residual.terms
@@ -472,7 +472,7 @@ def test_decompose_sigma_lists_no_hull_point(monkeypatch, pair):
         return real(p, num, q, den, points)
 
     monkeypatch.setattr(freesum.polytopes, "_walk", recording)
-    tagged_lattice_points.cache_clear()
+    _class_table.cache_clear()
     ehrhart_series.cache_clear()
     counts = decompose_sigma(pair.a, pair.b, 7)
     assert counts == height_counts(first_height_map(pair.a, pair.b, 7), 7)
@@ -721,40 +721,64 @@ def test_envelope_check_reuses_the_braun_walk(pair):
     """The envelope check of J at p reads J's class table, the one the Braun
     check builds whenever K's table does not settle the verdict, as on every
     affine corpus pair at height 7: after the Braun check has tagged K and
-    J, the envelope check tags nothing new."""
-    tagged_lattice_points.cache_clear()
+    J, the envelope check builds no new class table."""
+    _class_table.cache_clear()
     check_braun_multivariate.cache_clear()
     witness = classify_sum(pair.a, pair.b)
-    before = tagged_lattice_points.cache_info().misses
+    before = _class_table.cache_info().misses
     check_braun_multivariate(witness, 7)
-    after = tagged_lattice_points.cache_info().misses
+    after = _class_table.cache_info().misses
     assert after - before == 2  # K, then J
     envelope_condition_check(pair.a, witness.intersection_point, 7)
-    assert tagged_lattice_points.cache_info().misses == after
+    assert _class_table.cache_info().misses == after
+
+
+def test_corpus_run_builds_each_class_table_once(monkeypatch):
+    """One corpus run at H = 14 asks for some (Q, p, H) tables more than
+    once, from the Braun, split, envelope and Gorenstein checks; each
+    distinct table is built once, so the cache misses are the distinct
+    keys, and a second run builds none."""
+    cached, keys = freesum.cones._class_table, []
+
+    def recording(q, p, height_bound):
+        keys.append((q, p, height_bound))
+        return cached(q, p, height_bound)
+
+    for module in (freesum.cones, freesum.freesums):
+        monkeypatch.setattr(module, "_class_table", recording)
+    config = {**json.loads(CORPUS_FILE.read_text()), "height": 14}
+    cached.cache_clear()
+    check_braun_multivariate.cache_clear()
+    corpus_run(config)
+    assert cached.cache_info().misses == len(set(keys)) < len(keys)
+    corpus_run(config)
+    assert cached.cache_info().misses == len(set(keys))
 
 
 @pytest.mark.parametrize("fault", sorted(SPLIT_FAULTS))
-def test_decompose_sigma_names_broken_split(monkeypatch, fault):
-    j, k, point, splits = break_split(monkeypatch, fault)
+def test_decompose_sigma_names_broken_split(walk_seam, fault):
+    j, k, point, splits = break_split(walk_seam, fault)
     with pytest.raises(InternalCheckError) as err:
         decompose_sigma(j, k, 1)
     assert f"at {point}: {splits} splits, direct coefficient 1" in str(err.value)
 
 
-def test_decompose_sigma_raises_where_no_listed_point_fails(monkeypatch):
+def test_decompose_sigma_raises_where_no_listed_point_fails(walk_seam):
     """J = {0} and K = [0, 2*e2] have the hull K.  With the origin dropped
     from the listed points of K, and so of the hull, every listed hull point
     has its one split and the pointwise check names no point; the hull's
     counting walk still counts the origin, and the count check raises."""
     j, k = poly(2, (0, 0)), axis_seg(2, 1, 0, 2)
     assert hull_union(j, k) == k
-    real = freesum.cones.tagged_lattice_points
 
-    def faulty(p, bound):
-        den, points = real(p, bound)
-        return (den, points[1:]) if p == k else (den, points)
+    def faulty(real):
+        def walk(p, bound, points=False):
+            den, found = real(p, bound, points)
+            return (den, found[1:]) if p == k else (den, found)
 
-    monkeypatch.setattr(freesum.cones, "tagged_lattice_points", faulty)
+        return walk
+
+    walk_seam(faulty)
     with pytest.raises(InternalCheckError, match="enumeration in counts"):
         decompose_sigma(j, k, 0)
 

@@ -30,7 +30,6 @@ from freesum.polytopes import (
     cone_hrep,
     lattice_points_in_scaled,
     lattice_tags,
-    tagged_lattice_points,
 )
 
 from conftest import (
@@ -152,7 +151,7 @@ def test_tags_are_least_dilations(case):
     points are the box scan's; the series read off the tags is the one
     enumerated height by height."""
     p, height = case
-    den, tagged = tagged_lattice_points(p, height)
+    den, tagged = lattice_tags(p, height, points=True)
     assert tuple(y for y, _ in tagged) == oracle_lattice_points(p, height)
     hrep = cone_hrep(p)
     assert [F(m, den) for _, m in tagged] == [_least_dilation(hrep, y) for y, _ in tagged]
@@ -170,7 +169,7 @@ def test_counting_walk_tags_match_the_listing_walk(case):
     """The counting walk gives the listing walk's den and its tags as a
     multiset, flats off the coordinate axes included."""
     p, height = case
-    den, tagged = tagged_lattice_points(p, height)
+    den, tagged = lattice_tags(p, height, points=True)
     count_den, tags = lattice_tags(p, height)
     assert count_den == den
     assert sorted(tags) == sorted(m for _, m in tagged)
