@@ -11,8 +11,8 @@ basis of that lattice, tagged with den * lambda' (``lattice_tags``), gives
 the class table (``_class_table``), with the basis classes of
 ``lambda_p``: the one cached listing of a cone's lattice points.
 ``llenv_points`` and the split, Braun and Gorenstein checks of ``freesums``
-read it at p; ``lattice_points_by_height``, the shifted envelope layers,
-the shifted-envelope search and ``decompose_sigma`` read it at the origin.
+read it at p; ``series.sigma_cone``, the shifted envelope layers, the
+shifted-envelope search and ``decompose_sigma`` read it at the origin.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .polytopes import (
     denominator,
     dual_denominator,
     halfspace_rep,
-    lattice_points_in_scaled,
     lattice_tags,
 )
 from .records import frozen
@@ -65,17 +64,6 @@ class ConeOverPolytope:
         if len(point) != self.ambient_dim:
             raise InputError("point dimension mismatch")
         return _cone_member(self.hrep, point)
-
-    def lattice_points_by_height(self, height_bound: int) -> list[tuple[Vector, range]]:
-        """Pairs (y, heights): every integer y of some slice up to the bound,
-        with the heights t at which (y, t) is in the cone.  For a base with
-        the origin they run from ceil(lambda(y)) up, read off the class table
-        of H*P at the origin; other bases are walked one slice at a time."""
-        ts = range(height_bound + 1)
-        if self.contains((0,) * self.base.dim + (1,)):
-            _, table = _class_table(self.base, (0,) * self.base.dim, height_bound)
-            return [(y, ts[least:]) for y, _, least in table]
-        return [(y, ts[t : t + 1]) for t in ts for y in lattice_points_in_scaled(self.base, t)]
 
 
 def cone_over(p: RationalPolytope) -> ConeOverPolytope:

@@ -376,7 +376,7 @@ def decompose_sigma(
                 counts[low] += n_a * n_b
     ehr = ehrhart_series(hull_union(p, k), height_bound).coefficients
     if counts != [e - d for d, e in zip((0, *ehr), ehr)]:
-        faults = _split_check(p, k, (0,) * p.dim, 1, height_bound)[1]
+        faults = _split_check(p, k, (0,) * p.dim, height_bound)[1]
         at = "at {}: {} splits, direct coefficient {}".format(*faults[0]) if faults else "in counts"
         raise InternalCheckError(
             f"shifted-envelope decomposition disagrees with enumeration {at}"
@@ -442,7 +442,7 @@ def gorenstein_affine_check(
     return check_braun_multivariate(witness, height_bound)
 
 
-def _split_check(j: RationalPolytope, k: RationalPolytope, p, r: int, height_bound: int):
+def _split_check(j: RationalPolytope, k: RationalPolytope, p, height_bound: int):
     """(checked, faults) of the split check through p, r = den(p), for J
     and K whose spans from p are independent: each pair (``_pairs``) of the
     class tables of J and K at p maps its offset v = y + w to its low, and
@@ -451,6 +451,7 @@ def _split_check(j: RationalPolytope, k: RationalPolytope, p, r: int, height_bou
     faults lists in lex order each (z + (t,), splits, coefficient) where the
     number of pairs of offset v with low <= t is not the hull cone's
     coefficient, 0 or 1."""
+    r = lambda_p(p).r
     tables = [_class_table(q, p, height_bound) for q in (j, k, hull_union(j, k))]
     found = _pairs(*tables[:2], r, height_bound)
     pairs = [(tuple(map(operator.add, y, w)), low) for y, w, low, _ in found]
@@ -503,6 +504,5 @@ def decomposition_check(
     basis = direction_basis(j) + direction_basis(k)
     if rational_rank(basis) != len(basis):
         raise PreconditionError("direction spaces intersect nontrivially", "spans-intersect-in-flat")
-    r = math.lcm(*(x.denominator for x in p))
-    checked, faults = _split_check(j, k, p, r, height_bound)
+    checked, faults = _split_check(j, k, p, height_bound)
     return DecompositionReport(checked, tuple((point, splits) for point, splits, _ in faults))

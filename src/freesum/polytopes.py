@@ -5,8 +5,9 @@ gets one facet scan (``_affine_data``), on ints, and every geometric view
 reads from it: the vertex test, the integer equations of the affine hull,
 the integer cone description used for membership and enumeration, the
 saturated lattice of lin(P), the facet functionals relative to it, and the
-polar dual.  ``from_points`` keeps the scan for the vertices it returns,
-and ``translate`` and ``dilate`` move it with the polytope.
+polar dual.  ``from_points`` keeps the scan for the vertices it returns;
+``translate`` and ``dilate`` build their image from its vertices, with
+that image's own scan.
 Lattice points of a dilate are enumerated in integer coordinates of its
 affine lattice (``_slice_frame``), on plain ints, with no candidate that
 fails a facet and, by the facet scan of each coordinate projection of
@@ -86,29 +87,15 @@ class RationalPolytope:
         shift = qvec(shift)
         if len(shift) != self.dim:
             raise InputError("shift dimension mismatch")
-        return self._image(Fraction(1), shift)
+        return RationalPolytope(
+            self.dim, tuple(tuple(a + s for a, s in zip(v, shift)) for v in self.vertices)
+        )
 
     def dilate(self, factor) -> RationalPolytope:
         factor = Fraction(factor)
         if factor <= 0:
             raise InputError("dilation factor must be positive")
-        return self._image(factor, (Fraction(0),) * self.dim)
-
-    def _image(self, factor: Fraction, shift: QVector) -> RationalPolytope:
-        """Image under x -> factor*x + shift, with its facet data moved from
-        this polytope's instead of scanned again: the direction space, and
-        with it the basis, is unchanged, and a facet row or equation (c, c0)
-        on c.x + c0 becomes (c, factor*c0 - c.shift), made primitive."""
-        vertices = tuple(tuple(factor * a + s for a, s in zip(v, shift)) for v in self.vertices)
-        basis, is_vertex, rows, equations = _affine_data(self.vertices)
-
-        def move(row):
-            offset = factor * row[-1] - sum(map(operator.mul, row, shift))
-            return primitive_vector(row[:-1] + (offset,))
-
-        moved = tuple(sorted(map(move, rows))), tuple(map(move, equations))
-        _store(vertices, (basis, is_vertex, *moved))
-        return RationalPolytope(self.dim, vertices)
+        return RationalPolytope(self.dim, tuple(tuple(factor * a for a in v) for v in self.vertices))
 
     def contains(self, point) -> bool:
         point = qvec(point)
@@ -186,8 +173,8 @@ def _affine_data(points: tuple[QVector, ...]):
     columns and the last entry, with conv(points) =
     {x in aff : h . (x, 1) <= 0}.  A point is a vertex iff the facets tight
     at it have normals of rank equal to the affine dimension d (for d = 0
-    every point passes).  ``from_points``, ``translate`` and ``dilate``
-    store the data of the polytope they build instead of scanning again.
+    every point passes).  ``from_points`` stores the data of the vertices
+    it keeps instead of scanning them again.
     """
     data = _AFFINE_DATA.get(points)
     if data is None:

@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
-from .cones import ConeOverPolytope
+from .cones import ConeOverPolytope, _class_table
 from .errors import InputError, InternalCheckError, TruncationError
 from .polytopes import RationalPolytope, denominator, lattice_points_in_scaled, lattice_tags
 from .records import frozen
@@ -90,12 +90,18 @@ class DeltaPolynomial:
 
 @functools.lru_cache(maxsize=512)
 def sigma_cone(cone: ConeOverPolytope, height_bound: int) -> TruncatedSeries:
-    """Generating function of the cone's lattice points up to the height bound,
-    from ``lattice_points_by_height``: one walk when the base has the origin."""
+    """Generating function of the cone's lattice points up to the height bound.
+    For a base with the origin each y of the class table of H*P at the origin
+    (``cones._class_table``) is in the cone at the heights ceil(lambda(y)) up;
+    other bases are walked one slice at a time."""
     if height_bound < 0:
         raise InputError("height bound must be nonnegative")
-    points = cone.lattice_points_by_height(height_bound)
-    terms = {y + (t,): 1 for y, heights in points for t in heights}
+    base, ts = cone.base, range(height_bound + 1)
+    if cone.contains((0,) * base.dim + (1,)):
+        _, table = _class_table(base, (0,) * base.dim, height_bound)
+        terms = {y + (t,): 1 for y, _, least in table for t in ts[least:]}
+    else:
+        terms = {y + (t,): 1 for t in ts for y in lattice_points_in_scaled(base, t)}
     return TruncatedSeries(cone.ambient_dim, height_bound, terms)
 
 

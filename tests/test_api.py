@@ -53,6 +53,26 @@ def test_every_export_has_a_caller_in_the_package():
     assert unused == sorted(UNUSED_EXPORTS)
 
 
+def test_every_module_uses_its_imports():
+    """Each name a module of the package other than ``__init__`` binds by a
+    top-level import appears in its code as a name, alone or as the root of
+    an attribute; ``from __future__ import annotations`` binds nothing."""
+    unused = []
+    for path in sorted(Path(freesum.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in bound if name not in used]
+    assert unused == []
+
+
 def _traced_names() -> tuple:
     """``TRACED`` of ``bench/tracer.py``, read from its source, not imported."""
     tracer = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"

@@ -29,6 +29,7 @@ from freesum.polytopes import (
     _affine_data,
     _facet_scan,
     cone_hrep,
+    lattice_points_in_scaled,
 )
 
 from conftest import in_convex_hull, lattice_basis_of_span
@@ -190,15 +191,21 @@ def test_span_rows_are_the_affine_hulls_integer_equations(case, shift, factor):
 
 
 @kernel_settings
-@given(point_sets(), st.lists(small, min_size=3, max_size=3), small.filter(lambda f: f > 0))
-def test_translate_and_dilate_move_the_scan(case, shift, factor):
-    """The facet data ``translate`` and ``dilate`` derive from their source
-    equal a fresh scan of the moved vertices."""
+@given(
+    point_sets(),
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    small.filter(lambda f: f > 0),
+    st.integers(0, 3),
+)
+def test_translate_and_dilate_move_the_lattice_points(case, shift, factor, t):
+    """The integer points of t*(P + s), s integral, are those of t*P shifted
+    by t*s, and those of t*(f*P) are those of (f*t)*P."""
     dim, points = case
     p = RationalPolytope.from_points(dim, points)
     shift = shift[:dim]
-    for moved in (p.translate(shift), p.dilate(factor), p.dilate(factor).translate(shift)):
-        assert _affine_data(moved.vertices) == _facet_scan(moved.vertices)
+    moved = [tuple(a + t * b for a, b in zip(y, shift)) for y in lattice_points_in_scaled(p, t)]
+    assert lattice_points_in_scaled(p.translate(shift), t) == tuple(moved)
+    assert lattice_points_in_scaled(p.dilate(factor), t) == lattice_points_in_scaled(p, factor * t)
 
 
 @kernel_settings
