@@ -31,7 +31,6 @@ import functools
 import math
 import operator
 from collections import Counter
-from fractions import Fraction
 
 from .cones import (
     _class_table,
@@ -66,10 +65,9 @@ from .records import frozen
 from .series import (
     TruncatedSeries,
     delta_polynomial,
+    ehrhart_denominator,
     ehrhart_series,
-    poly_divmod,
     poly_mul,
-    poly_pow,
 )
 
 FREE_SUM = "free_sum"
@@ -131,7 +129,6 @@ class UnivariateBraunVerdict:
     first_mismatch: tuple[int, int, int] | None
     delta_holds: bool
     delta_lhs: tuple[int, ...]
-    delta_rhs: tuple[Fraction, ...] | None
 
 
 @functools.lru_cache(maxsize=512)
@@ -294,43 +291,25 @@ def _series_mismatch(j: RationalPolytope, k: RationalPolytope, r: int, height_bo
 def check_braun_univariate(
     p: RationalPolytope, q: RationalPolytope, height_bound: int
 ) -> UnivariateBraunVerdict:
-    """Check the counting-series product formula and its numerator identity."""
+    """Braun's formula Ehr_(P+Q) = (1 - t) Ehr_P Ehr_Q on the counting series
+    up to the height bound, and as delta_hull D_P D_Q = (1 - t) D_hull delta_P
+    delta_Q, each series delta / D with D = (1 - t^den)^power.  Each delta is
+    complete, so ``delta_holds`` decides the formula for every T."""
     witness = classify_sum(p, q)
     if witness.kind != FREE_SUM:
         raise PreconditionError(
             "univariate product formula applies to free sums at the origin",
             "not-a-free-sum-at-origin",
         )
-    hull = hull_union(p, q)
     mismatch = _series_mismatch(p, q, 1, height_bound)
-    dim_p, dim_q = p.affine_dim, q.affine_dim
-    den_p, den_q = denominator(p), denominator(q)
-    lcm = math.lcm(den_p, den_q)
-    delta_p = delta_polynomial(p, den_p * (dim_p + 2))
-    delta_q = delta_polynomial(q, den_q * (dim_q + 2))
-    dim_sum = dim_p + dim_q
-    delta_hull = delta_polynomial(hull, lcm * (dim_sum + 2))
-
-    def one_minus_t_power(e: int) -> list[int]:
-        poly = [0] * (e + 1)
-        poly[0], poly[e] = 1, -1
-        return poly
-
-    numerator = poly_mul([1, -1], poly_pow(one_minus_t_power(lcm), dim_sum + 1))
-    numerator = poly_mul(numerator, poly_mul(list(delta_p.coefficients), list(delta_q.coefficients)))
-    quotient, remainder = poly_divmod(numerator, poly_pow(one_minus_t_power(den_p), dim_p + 1))
-    delta_rhs: tuple[Fraction, ...] | None = None
-    delta_holds = False
-    if not remainder:
-        quotient, remainder = poly_divmod(quotient, poly_pow(one_minus_t_power(den_q), dim_q + 1))
-        if not remainder:
-            while len(quotient) > 1 and quotient[-1] == 0:
-                quotient.pop()
-            delta_rhs = tuple(quotient)
-            delta_holds = delta_rhs == tuple(Fraction(c) for c in delta_hull.coefficients)
-    return UnivariateBraunVerdict(
-        mismatch is None, mismatch, delta_holds, delta_hull.coefficients, delta_rhs
+    delta_p, delta_q, delta_hull = (
+        delta_polynomial(x, denominator(x) * (x.affine_dim + 2)) for x in (p, q, hull_union(p, q))
     )
+    d_p, d_q, d_hull = (ehrhart_denominator(d.den, d.power) for d in (delta_p, delta_q, delta_hull))
+    # Every delta starts with 1 and every D leads with +-1: no trailing zeros.
+    lhs = poly_mul(delta_hull.coefficients, poly_mul(d_p, d_q))
+    rhs = poly_mul(poly_mul([1, -1], d_hull), poly_mul(delta_p.coefficients, delta_q.coefficients))
+    return UnivariateBraunVerdict(mismatch is None, mismatch, lhs == rhs, delta_hull.coefficients)
 
 
 def decompose_sigma(

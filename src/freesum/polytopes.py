@@ -40,7 +40,6 @@ from .linalg import (
     integer_kernel,
     primitive_vector,
     qvec,
-    rational_rank,
 )
 from .records import frozen
 
@@ -171,10 +170,12 @@ def _affine_data(points: tuple[QVector, ...]):
     per free column of the basis, with aff(points) = {x : e . (x, 1) = 0}.
     Each facet row h is primitive and integral, zero off the basis's pivot
     columns and the last entry, with conv(points) =
-    {x in aff : h . (x, 1) <= 0}.  A point is a vertex iff the facets tight
-    at it have normals of rank equal to the affine dimension d (for d = 0
-    every point passes).  ``from_points`` stores the data of the vertices
-    it keeps instead of scanning them again.
+    {x in aff : h . (x, 1) <= 0}.  Of distinct points (``from_points`` and
+    ``RationalPolytope`` ensure it before they scan), x is a vertex iff no
+    other point is tight on every facet tight at x: those facets cut out the
+    minimal face of x, which is {x} or has another point as a vertex.
+    ``from_points`` stores the data of the vertices it keeps instead of
+    scanning them again.
     """
     data = _AFFINE_DATA.get(points)
     if data is None:
@@ -233,10 +234,9 @@ def _facet_scan(points: tuple[QVector, ...]):
         equations.append(primitive_vector([scale * x for x in a] + [offset]))
     coords = [[v[c] for c in pivots] for v in pts]
     facets = _facet_rows(coords, scale)
-    is_vertex = tuple(
-        rational_rank([f[:-1] for f in facets if sum(map(operator.mul, f, (*x, scale))) == 0]) == d
-        for x in coords
-    )
+    # x is a vertex iff it alone is tight on every facet tight at x.
+    tight = [{f for f in facets if sum(map(operator.mul, f, (*x, scale))) == 0} for x in coords]
+    is_vertex = tuple(sum(s <= t for t in tight) == 1 for s in tight)
     rows = sorted((*(dict(zip(pivots, f)).get(c, 0) for c in range(n)), f[-1]) for f in facets)
     return tuple(tuple(row) for row in red[:d]), is_vertex, tuple(rows), tuple(equations)
 
@@ -512,8 +512,8 @@ def gorenstein_data(p: RationalPolytope) -> GorensteinData | None:
         if len(interior) > 1:
             return None
         m = interior[0]
-        shifted = p.dilate(k).translate([-x for x in m])
-        if is_reflexive(shifted):
+        shifted = tuple(tuple(k * a - b for a, b in zip(v, m)) for v in p.vertices)
+        if is_reflexive(RationalPolytope(p.dim, shifted)):
             center = tuple(Fraction(x, k) for x in m)
             return GorensteinData(k, m, center)
         return None

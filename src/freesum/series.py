@@ -12,7 +12,6 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Mapping
-from fractions import Fraction
 from types import MappingProxyType
 
 from .cones import ConeOverPolytope, _class_table
@@ -158,31 +157,13 @@ def poly_mul(a, b):
     return out
 
 
-def poly_pow(a, k: int):
-    out = [1]
-    for _ in range(k):
-        out = poly_mul(out, a)
+def ehrhart_denominator(den: int, power: int) -> list[int]:
+    """Coefficients of (1 - t^den)^power, the denominator of an Ehrhart
+    series whose numerator is a ``DeltaPolynomial`` with this den and power."""
+    out = [0] * (den * power + 1)
+    for j in range(power + 1):
+        out[den * j] = (-1) ** j * math.comb(power, j)
     return out
-
-
-def poly_divmod(a, b):
-    """Exact division of coefficient lists over the rationals."""
-    rem = [Fraction(x) for x in a]
-    div = [Fraction(x) for x in b]
-    while div and div[-1] == 0:
-        div.pop()
-    if not div:
-        raise InputError("division by the zero polynomial")
-    quot = [Fraction(0)] * max(len(rem) - len(div) + 1, 0)
-    for i in range(len(rem) - len(div), -1, -1):
-        factor = rem[i + len(div) - 1] / div[-1]
-        quot[i] = factor
-        if factor:
-            for j, y in enumerate(div):
-                rem[i + j] -= factor * y
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
 
 
 def delta_polynomial(p: RationalPolytope, height_bound: int) -> DeltaPolynomial:
@@ -200,10 +181,7 @@ def delta_polynomial(p: RationalPolytope, height_bound: int) -> DeltaPolynomial:
             f"need height bound of at least {degree_cap + den} for this polytope"
         )
     ehr = ehrhart_series(p, height_bound).coefficients
-    factor = [0] * (degree_cap + 1)
-    for j in range(power + 1):
-        factor[den * j] = (-1) ** j * math.comb(power, j)
-    prod = poly_mul(list(ehr), factor)[: height_bound + 1]
+    prod = poly_mul(ehr, ehrhart_denominator(den, power))[: height_bound + 1]
     if any(c != 0 for c in prod[degree_cap + 1 :]):
         raise InternalCheckError("nonvanishing tail in the numerator computation")
     coeffs = prod[: degree_cap + 1]

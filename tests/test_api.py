@@ -73,6 +73,20 @@ def test_every_module_uses_its_imports():
     assert unused == []
 
 
+def test_series_layer_imports_no_fractions():
+    """``series`` and ``freesums`` compute on plain integers: neither module
+    imports ``fractions``, at any level."""
+    offenders = []
+    for name in ("series", "freesums"):
+        tree = ast.parse((Path(freesum.__file__).parent / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                offenders.append(name)
+            elif isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+                offenders.append(name)
+    assert offenders == []
+
+
 def _traced_names() -> tuple:
     """``TRACED`` of ``bench/tracer.py``, read from its source, not imported."""
     tracer = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -180,6 +194,7 @@ def test_package_loads_every_private_module_level_name():
 
 # Public methods that no module of the package loads, and why each stays.
 UNUSED_METHODS = (
+    "RationalPolytope.dilate",  # public k*P the tests build; gorenstein_data scans k*P - m at once
     "TruncatedSeries.coefficient",  # public lookup the tests use; the package reads terms
     "UnivariateSeries.coefficient",  # public lookup the tests use; the package reads coefficients
 )

@@ -409,6 +409,45 @@ def test_braun_univariate_top_polygon():
     assert verdict.series_holds and verdict.delta_holds
 
 
+@st.composite
+def origin_free_sums(draw):
+    """A free sum with the origin interior to both summands: a segment and a
+    segment in R^2, or a polygon (a vertex on each half-axis of its plane)
+    and a segment in R^3, coordinates with denominators up to 3, both mapped
+    by one unimodular shear."""
+    n = draw(st.sampled_from((2, 3)))
+    size = st.builds(F, st.integers(1, 2), st.integers(1, 3))
+    if n == 2:
+        first = [(draw(size), 0), (-draw(size), 0)]
+    else:
+        first = [(draw(size), 0, 0), (0, draw(size), 0), (-draw(size), 0, 0), (0, -draw(size), 0)]
+    second = [(0,) * (n - 1) + (draw(size),), (0,) * (n - 1) + (-draw(size),)]
+    image = sheared(draw, n)
+    return image(first), image(second)
+
+
+def test_delta_identity_decides_braun_univariate():
+    """The numerator identity agrees with the counting series compared up to
+    H* = 1 + S(J) + S(K) + S(J + K), S(P) the sum of den(v) over the
+    vertices v of P.  Each Ehr_P is N_P / prod_v (1 - t^den(v)) with N_P of
+    degree at most S(P), so both sides of Braun's formula times the three
+    denominators are polynomials of degree at most H*, and agreement up to
+    H* is agreement for every T.  Both verdicts occur."""
+    seen = set()
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(origin_free_sums())
+    def check(pair):
+        j, k = pair
+        dens = [math.lcm(*(x.denominator for x in v)) for q in (j, k, hull_union(j, k)) for v in q.vertices]
+        verdict = check_braun_univariate(j, k, 1 + sum(dens))
+        assert verdict.delta_holds == verdict.series_holds
+        seen.add(verdict.delta_holds)
+
+    check()
+    assert seen == {True, False}
+
+
 def test_decompose_sigma_matches_enumeration():
     j, k = axis_seg(2, 0, -2, 3), axis_seg(2, 1, -1, 1)
     heights = first_height_map(j, k, 8)

@@ -188,6 +188,19 @@ def test_gorenstein_triangle():
     assert is_reflexive(shifted)
 
 
+def test_gorenstein_recentring_scans_once(monkeypatch):
+    """``gorenstein_data`` builds 3*T - (1, 1) from the vertices 3*v - (1, 1)
+    of the triangle T: with the scan cache cleared, that point set is the
+    one facet scan it makes, and no intermediate 3*T is scanned."""
+    freesum.polytopes._AFFINE_DATA.clear()
+    tri = poly(2, (0, 0), (1, 0), (0, 1))
+    scans = []
+    real = freesum.polytopes._facet_scan
+    monkeypatch.setattr(freesum.polytopes, "_facet_scan", lambda pts: scans.append(pts) or real(pts))
+    assert gorenstein_data(tri).index == 3
+    assert scans == [tuple(qvec(v) for v in ((-1, -1), (-1, 2), (2, -1)))]
+
+
 def test_gorenstein_interior_uniqueness():
     data = gorenstein_data(poly(2, (0, 0), (1, 0), (0, 1)))
     assert interior_lattice_points_in_dilate(poly(2, (0, 0), (1, 0), (0, 1)), data.index) == [

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
 from freesum import (
@@ -15,7 +13,7 @@ from freesum import (
     sigma_cone,
 )
 from freesum.errors import InputError, TruncationError
-from freesum.series import poly_divmod, poly_mul, poly_pow, series_mul
+from freesum.series import series_mul
 
 from conftest import (
     F,
@@ -217,13 +215,3 @@ def test_series_owns_its_terms():
     assert s.coefficient((0, 0)) == 1
     assert s.terms == {(0, 0): 1}
     assert all(e[-1] <= s.height_bound for e in s.terms)
-
-
-def test_poly_divmod_exact():
-    a = poly_mul([1, 2, 1], [1, 0, -1])
-    q, r = poly_divmod(a, [1, 0, -1])
-    assert not r
-    assert [Fraction(x) for x in (1, 2, 1)] == q
-    q2, r2 = poly_divmod([1, 1], [1, -1])
-    assert r2
-    assert poly_pow([1, 1], 2) == [1, 2, 1]
